@@ -21,6 +21,8 @@ from .spectral import SolveOptions, spectral_radius
 from .tensor import Weighting, abc_index
 
 WEIGHTINGS = {"abc": Weighting.ABC, "adj": Weighting.ADJACENCY, "randic": Weighting.RANDIC}
+CLOSED_FORM_FLAGS = ("m", "k", "n", "idx")
+"""Parameter flags of ``closed-form``, in the order records print them."""
 
 
 def _f(x: float) -> float:
@@ -32,43 +34,36 @@ def _parse_comp(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.replace(",", " ").split())
 
 
-def build_family(args) -> "gen.UniformHypergraph":
-    name = args.family
-    if name == "hyperstar":
-        return gen.hyperstar(args.m, args.k)
-    if name == "hyperpath":
-        return gen.hyperpath(args.m, args.k)
-    if name == "hypercycle":
-        return gen.hypercycle(args.g, args.k)
-    if name == "complete":
-        return gen.complete(args.n, args.k)
-    if name == "double-star":
-        return gen.double_star(args.m, args.a[0] if args.a else 1)
-    if name == "power":
-        base = {
-            "star": lambda: gen.hyperstar(args.m, 2),
-            "path": lambda: gen.hyperpath(args.m, 2),
-            "cycle": lambda: gen.cycle_graph(args.g),
-            "double-star": lambda: gen.double_star(args.m, args.a[0] if args.a else 1),
-            "unicyclic-graph": lambda: gen.unicyclic_graph(args.m, args.g),
-        }
-        if args.of not in base:
-            raise ValueError(f"power base must be one of {sorted(base)}")
-        return gen.power(base[args.of](), args.k)
-    if name == "s-comp":
-        return gen.s_composition(args.m, args.k, args.a)
-    if name == "unicyclic":
-        return gen.unicyclic_family(args.m, args.k, args.g, args.a)
-    if name == "t-family":
-        return gen.t_family(args.m, args.idx)
-    if name == "example-h":
-        return gen.example_h(args.idx)
-    raise ValueError(f"unknown family {name!r}")
+def _power(args) -> "gen.UniformHypergraph":
+    base = {
+        "star": lambda: gen.hyperstar(args.m, 2),
+        "path": lambda: gen.hyperpath(args.m, 2),
+        "cycle": lambda: gen.cycle_graph(args.g),
+        "double-star": lambda: FAMILIES["double-star"](args),
+        "unicyclic-graph": lambda: gen.unicyclic_graph(args.m, args.g),
+    }
+    if args.of not in base:
+        raise ValueError(f"power base must be one of {sorted(base)}")
+    return gen.power(base[args.of](), args.k)
+
+
+FAMILIES = {
+    "hyperstar": lambda args: gen.hyperstar(args.m, args.k),
+    "hyperpath": lambda args: gen.hyperpath(args.m, args.k),
+    "hypercycle": lambda args: gen.hypercycle(args.g, args.k),
+    "complete": lambda args: gen.complete(args.n, args.k),
+    "double-star": lambda args: gen.double_star(args.m, args.a[0] if args.a else 1),
+    "power": _power,
+    "s-comp": lambda args: gen.s_composition(args.m, args.k, args.a),
+    "unicyclic": lambda args: gen.unicyclic_family(args.m, args.k, args.g, args.a),
+    "t-family": lambda args: gen.t_family(args.m, args.idx),
+    "example-h": lambda args: gen.example_h(args.idx),
+}
 
 
 def load_graph(args) -> "gen.UniformHypergraph":
     if getattr(args, "family", None):
-        return build_family(args)
+        return FAMILIES[args.family](args)
     if getattr(args, "file", None):
         if args.file == "-":
             return parse_uhg(sys.stdin.read())
@@ -80,15 +75,9 @@ def load_graph(args) -> "gen.UniformHypergraph":
 def _add_family_flags(p: argparse.ArgumentParser, with_file: bool = True):
     if with_file:
         p.add_argument("file", nargs="?", help="UHG v1 file ('-' for stdin)")
-    p.add_argument("--family", choices=[
-        "hyperstar", "hyperpath", "hypercycle", "complete", "double-star",
-        "power", "s-comp", "unicyclic", "t-family", "example-h",
-    ])
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--idx", type=int)
+    p.add_argument("--family", choices=list(FAMILIES))
+    for key in ("m", "k", "g", "n", "idx"):
+        p.add_argument(f"--{key}", type=int)
     p.add_argument("--a", type=_parse_comp, help="composition, e.g. '2,1,1'")
     p.add_argument("--of", help="base family for --family power")
 
@@ -119,11 +108,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("closed-form", help="evaluate a named closed form")
-    p.add_argument("name", choices=sorted(cf.CLOSED_FORM_NAMES))
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--idx", type=int)
+    p.add_argument("name", choices=sorted(cf.CLOSED_FORMS))
+    for key in CLOSED_FORM_FLAGS:
+        p.add_argument(f"--{key}", type=int)
     p.add_argument("--check", action="store_true",
                    help="also compare against the power-iteration oracle")
     p.add_argument("--json", action="store_true")
@@ -146,7 +133,7 @@ def _emit(record: dict, as_json: bool):
 
 
 def cmd_gen(args) -> int:
-    G = build_family(args)
+    G = FAMILIES[args.family](args)
     if args.json:
         print(json.dumps({"k": G.k, "n": G.n, "m": G.m, "edges": [list(e) for e in G.edges]}))
     else:
@@ -202,35 +189,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    params = {key: getattr(args, key) for key in ("m", "k", "n", "idx") if getattr(args, key) is not None}
+    params = {key: val for key in CLOSED_FORM_FLAGS if (val := getattr(args, key)) is not None}
     value = cf.closed_form(args.name, **params)
     record = {"name": args.name, "value": _f(value), **params}
     if args.check:
-        G = _closed_form_graph(args.name, params)
-        w = Weighting.ADJACENCY if args.name == "double-star-2-adj" else Weighting.ABC
-        est = spectral_radius(G, w)
+        G = cf.closed_form_graph(args.name, **params)
+        est = spectral_radius(G, cf.CLOSED_FORMS[args.name].weighting)
         record["oracle"] = _f(est.rho)
         record["agrees"] = abs(est.rho - value) <= 1e-7 * max(1.0, abs(value))
     _emit(record, args.json)
     return 0
-
-
-def _closed_form_graph(name: str, params: dict):
-    m = params.get("m")
-    k = params.get("k")
-    builders = {
-        "hyperstar": lambda: gen.hyperstar(m, k),
-        "double-star-1": lambda: gen.power(gen.double_star(m, 1), k),
-        "double-star-2-adj": lambda: gen.power(gen.double_star(m, 2), k),
-        "u2": lambda: gen.unicyclic_family(m, k, 2, (m - 2,) + (0,) * (k - 1)),
-        "u3": lambda: gen.unicyclic_family(m, k, 3, (m - 3,) + (0,) * (k - 1)),
-        "s311": lambda: gen.s_composition(m, k, (m - 3, 1, 1) + (0,) * (k - 3)),
-        "t-family": lambda: gen.t_family(m, params["idx"]),
-        "s4-1111": lambda: gen.s_composition(m, 4, (m - 4, 1, 1, 1)),
-        "hyperpath": lambda: gen.hyperpath(m, k),
-        "complete-bound": lambda: gen.complete(params["n"], k),
-    }
-    return builders[name]()
 
 
 def cmd_verify(args) -> int:

@@ -4,13 +4,21 @@ Each value is either an explicit radical or the largest real root of a
 low-degree polynomial with a known bracket, extracted by bisection so
 the result carries a certified enclosure.  Coefficients are rational
 expressions in the edge count m, evaluated on demand.
+
+``CLOSED_FORMS`` pairs each value with the hypergraph that attains it,
+the weighting and the parameter domain; every caller reads it.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Mapping, Optional
+
+from . import generators as gen
+from .hypergraph import UniformHypergraph
+from .tensor import Weighting
 
 
 @dataclass(frozen=True)
@@ -270,40 +278,91 @@ def rho_abc_complete_bound(n: int, k: int) -> float:
     return (k * math.comb(n - 1, k - 1) - k) ** (1.0 / k)
 
 
-def closed_form(name: str, **params) -> float:
-    """Dispatch by closed-form name (CLI helper)."""
-    table = {
-        "hyperstar": (("m", "k"), rho_abc_hyperstar),
-        "double-star-1": (("m", "k"), rho_abc_double_star1),
-        "double-star-2-adj": (("m", "k"), rho_adj_double_star2),
-        "u2": (("m", "k"), rho_abc_u2),
-        "u3": (("m", "k"), rho_abc_u3),
-        "s311": (("m", "k"), rho_abc_s311),
-        "t-family": (("m", "idx"), rho_abc_t),
-        "s4-1111": (("m",), rho_abc_s4_1111),
-        "hyperpath": (("m", "k"), rho_abc_hyperpath),
-        "complete-bound": (("n", "k"), rho_abc_complete_bound),
-    }
-    if name not in table:
-        raise ValueError(f"unknown closed form {name!r}; known: {sorted(table)}")
-    needed, fn = table[name]
-    missing = [p for p in needed if params.get(p) is None]
-    if missing:
-        raise ValueError(f"closed form {name!r} requires {', '.join('--' + p for p in needed)}")
-    if name == "s4-1111" and params.get("k"):
-        return fn(params["m"], params["k"])
-    return fn(*(params[p] for p in needed))
+# ----------------------------------------------------------------------
+# Registry: one record per closed form, keyed by its command-line name.
 
 
-CLOSED_FORM_NAMES: Sequence[str] = (
-    "hyperstar",
-    "double-star-1",
-    "double-star-2-adj",
-    "u2",
-    "u3",
-    "s311",
-    "t-family",
-    "s4-1111",
-    "hyperpath",
-    "complete-bound",
-)
+@dataclass(frozen=True)
+class ClosedForm:
+    """A closed-form radius with the hypergraph that attains it.
+
+    ``value(**p)`` is the spectral radius of ``graph(**p)`` under
+    ``weighting`` wherever the condition ``domain`` holds.  The parameter
+    names, and the defaults of those a caller may omit, are those of
+    ``value``.
+    """
+
+    value: Callable[..., float]
+    graph: Callable[..., UniformHypergraph]
+    domain: str
+    weighting: Weighting = Weighting.ABC
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """Parameter names, in the order ``value`` takes them."""
+        return tuple(inspect.signature(self.value).parameters)
+
+    def admits(self, **params: int) -> bool:
+        """Whether the parameter values satisfy ``domain``."""
+        # ``domain`` is a constant of this module, never caller input.
+        return bool(eval(self.domain, {"__builtins__": {}}, params))
+
+
+CLOSED_FORMS: dict[str, ClosedForm] = {
+    "hyperstar": ClosedForm(rho_abc_hyperstar, gen.hyperstar, "m >= 1 and k >= 2"),
+    "double-star-1": ClosedForm(rho_abc_double_star1,
+                                lambda m, k: gen.power(gen.double_star(m, 1), k),
+                                "m >= 3 and k >= 2"),
+    "double-star-2-adj": ClosedForm(rho_adj_double_star2,
+                                    lambda m, k: gen.power(gen.double_star(m, 2), k),
+                                    "m >= 5 and k >= 2", Weighting.ADJACENCY),
+    "u2": ClosedForm(rho_abc_u2,
+                     lambda m, k: gen.unicyclic_family(m, k, 2, (m - 2,) + (0,) * (k - 1)),
+                     "m >= 2 and k >= 3"),
+    "u3": ClosedForm(rho_abc_u3,
+                     lambda m, k: gen.unicyclic_family(m, k, 3, (m - 3,) + (0,) * (k - 1)),
+                     "m >= 3 and k >= 3"),
+    "s311": ClosedForm(rho_abc_s311,
+                       lambda m, k: gen.s_composition(m, k, (m - 3, 1, 1) + (0,) * (k - 3)),
+                       "m >= 4 and k >= 3"),
+    "t-family": ClosedForm(rho_abc_t, gen.t_family,
+                           "idx in (1, 2, 3, 4) and m >= (6 if idx == 1 else 5)"),
+    "s4-1111": ClosedForm(rho_abc_s4_1111,
+                          lambda m, k: gen.s_composition(m, k, (m - 4, 1, 1, 1) + (0,) * (k - 4)),
+                          "m >= 5 and k >= 4"),
+    "hyperpath": ClosedForm(rho_abc_hyperpath, gen.hyperpath, "m >= 2 and k >= 2"),
+    "complete-bound": ClosedForm(rho_abc_complete_bound, gen.complete, "n > k >= 2"),
+}
+
+
+def _bind(name: str, params: Mapping[str, Optional[int]]) -> tuple[ClosedForm, dict[str, int]]:
+    """The record for ``name`` and its parameters, defaults filled in;
+    ValueError when the name is unknown or a parameter is missing or out
+    of the domain.  Parameters the form does not take are ignored."""
+    if name not in CLOSED_FORMS:
+        raise ValueError(f"unknown closed form {name!r}; known: {sorted(CLOSED_FORMS)}")
+    form = CLOSED_FORMS[name]
+    signature = inspect.signature(form.value)
+    given = {p: params[p] for p in signature.parameters if params.get(p) is not None}
+    try:
+        bound = signature.bind(**given)
+    except TypeError:
+        flags = ", ".join(f"--{p}" for p, q in signature.parameters.items() if q.default is q.empty)
+        raise ValueError(f"closed form {name!r} requires {flags}") from None
+    bound.apply_defaults()
+    if not form.admits(**bound.arguments):
+        raise ValueError(f"closed form {name!r} needs {form.domain}; got {bound.arguments}")
+    return form, bound.arguments
+
+
+def closed_form(name: str, **params: Optional[int]) -> float:
+    """Value of the named closed form at ``params``."""
+    form, values = _bind(name, params)
+    return form.value(**values)
+
+
+def closed_form_graph(name: str, **params: Optional[int]) -> UniformHypergraph:
+    """The hypergraph whose radius under ``CLOSED_FORMS[name].weighting``
+    the named closed form gives at ``params``."""
+    form, values = _bind(name, params)
+    return form.graph(**values)

@@ -23,7 +23,6 @@ from .generators import (
     enumerate_hypertrees,
     hypercycle,
     power,
-    s_composition,
     unicyclic_family,
 )
 from .hypergraph import UniformHypergraph, classify, degrees
@@ -223,11 +222,6 @@ def check_randic_unit(G: UniformHypergraph, opts=None) -> CheckResult:
 # Extremal scans.
 
 
-def _scan_table(entries):
-    lines = [f"{rho:.12f}  m={G.m}" for rho, G in entries]
-    return "; ".join(lines)
-
-
 def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
     """Enumerate hypertrees of size m, rank abc radii, and confirm:
     unique max S_{m,k}; unique second max D_{m,1}^k (m >= 4); unique
@@ -253,10 +247,10 @@ def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
     results = []
     table = "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
 
-    star_code = canonical_code(s_composition(m, k, (m - 1,) + (0,) * (k - 1)))
+    star_code = canonical_code(cf.closed_form_graph("hyperstar", m=m, k=k))
     top_est, top_tree = ranked[0]
     top_is_star = canonical_code(top_tree) == star_code
-    closed = cf.rho_abc_hyperstar(m, k)
+    closed = cf.closed_form("hyperstar", m=m, k=k)
     gap_ok = len(ranked) < 2 or top_est.rho - ranked[1][0].rho > 1e-9
     ok = top_is_star and abs(top_est.rho - closed) <= max(1e-9, 10 * top_est.width) and gap_ok
     results.append(
@@ -272,9 +266,9 @@ def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
 
     if m >= 4 and len(ranked) >= 2:
         second_est, second_tree = ranked[1]
-        ds_code = canonical_code(power(double_star(m, 1), k))
+        ds_code = canonical_code(cf.closed_form_graph("double-star-1", m=m, k=k))
         second_ok = canonical_code(second_tree) == ds_code
-        closed2 = cf.rho_abc_double_star1(m, k)
+        closed2 = cf.closed_form("double-star-1", m=m, k=k)
         gap2 = len(ranked) < 3 or second_est.rho - ranked[2][0].rho > 1e-9
         ok2 = second_ok and abs(second_est.rho - closed2) <= max(1e-9, 10 * second_est.width) and gap2
         results.append(
@@ -294,8 +288,8 @@ def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
         ]
         if non_power:
             np_est, np_tree = non_power[0]
-            target = canonical_code(s_composition(m, k, (m - 3, 1, 1) + (0,) * (k - 3)))
-            closed3 = cf.rho_abc_s311(m, k)
+            target = canonical_code(cf.closed_form_graph("s311", m=m, k=k))
+            closed3 = cf.closed_form("s311", m=m, k=k)
             gap3 = len(non_power) < 2 or np_est.rho - non_power[1][0].rho > 1e-9
             ok3 = (
                 canonical_code(np_tree) == target
@@ -353,7 +347,7 @@ def extremal_scan_unicyclic_family(m: int, k: int, g: int, opts=None) -> list[Ch
     ranked = sorted(entries, key=lambda p: -p[0].rho)
     top_est, top_a = ranked[0]
     want = (m - g,) + (0,) * (k - 1)
-    closed = cf.rho_abc_u2(m, k) if g == 2 else cf.rho_abc_u3(m, k)
+    closed = cf.closed_form("u2" if g == 2 else "u3", m=m, k=k)
     gap_ok = len(ranked) < 2 or top_est.rho - ranked[1][0].rho > 1e-9
     ok = top_a == want and abs(top_est.rho - closed) <= max(1e-8, 10 * top_est.width) and gap_ok
     table = "; ".join(f"{e.rho:.10f}@a={a}" for e, a in ranked)
@@ -391,8 +385,8 @@ def check_unicyclic_global_max(m: int, k: int, opts=None) -> CheckResult:
     """Scan all unicyclic shapes (small m): the maximum abc radius is
     attained exactly at U_{m,2}^(k) with value (m-1+2/m)^(1/k)."""
     shapes = enumerate_small_unicyclic(m, k)
-    target = canonical_code(unicyclic_family(m, k, 2, (m - 2,) + (0,) * (k - 1)))
-    closed = cf.rho_abc_u2(m, k)
+    target = canonical_code(cf.closed_form_graph("u2", m=m, k=k))
+    closed = cf.closed_form("u2", m=m, k=k)
     best = None
     for G in shapes:
         est = spectral_radius(G, Weighting.ABC, opts or SolveOptions())
@@ -426,7 +420,7 @@ def run_worked_examples(opts=None) -> list[CheckResult]:
     h1 = example_h(1)
     e1 = spectral_radius(h1, Weighting.ABC, opts)
     f1 = lambda t: t**3 - math.sqrt(3.0 / 4.0) * t**1.5 - 0.5  # noqa: E731
-    path63 = cf.rho_abc_hyperpath(6, 3)
+    path63 = cf.closed_form("hyperpath", m=6, k=3)
     vals1 = (f1(1.0), f1(path63))
     expect1 = (-0.366025, 0.07559)
     red1 = abs(f1(e1.rho)) <= 1e-6
@@ -446,8 +440,8 @@ def run_worked_examples(opts=None) -> list[CheckResult]:
     h2 = example_h(2)
     e2 = spectral_radius(h2, Weighting.ABC, opts)
     f2 = lambda t: t**4 - (5.0 / 8.0) ** (1.0 / 3.0) * t ** (8.0 / 3.0) - 0.5  # noqa: E731
-    path124 = cf.rho_abc_hyperpath(12, 4)
-    path123 = cf.rho_abc_hyperpath(12, 3)
+    path124 = cf.closed_form("hyperpath", m=12, k=4)
+    path123 = cf.closed_form("hyperpath", m=12, k=3)
     vals2 = (f2(1.0), f2(path124))
     expect2 = (-0.35499, 0.08894)
     red2 = abs(f2(e2.rho)) <= 1e-6
@@ -495,7 +489,7 @@ def default_suite(
             if kk >= 3:
                 bound_graphs.append(hypercycle(mm, kk))
             if mm >= 4 and kk >= 3:
-                bound_graphs.append(s_composition(mm, kk, (mm - 3, 1, 1) + (0,) * (kk - 3)))
+                bound_graphs.append(cf.closed_form_graph("s311", m=mm, k=kk))
     bound_graphs.append(complete(4, 3))
     bound_graphs.append(complete(5, 2))
     for G in bound_graphs:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from abctensor import closed_forms as cf
 from abctensor import generators as gen
 from abctensor import parse_uhg
 from abctensor.cli import main
@@ -78,6 +79,20 @@ def test_closed_form_check(capsys):
     rec = json.loads(out)
     assert rec["agrees"] is True
     assert rec["value"] == pytest.approx(4.4 ** (1 / 3))
+    # The oracle graph follows --k: S_{6,5;2,1,1,1,0}, not its 4-uniform base.
+    code, out, _ = run(capsys, "closed-form", *"s4-1111 --m 6 --k 5 --check --json".split())
+    assert code == 0 and json.loads(out)["agrees"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    "t-family --m 3 --idx 1", "s4-1111 --m 3", "hyperpath --m 5 --k 0", "hyperstar --m 0 --k 3",
+    "complete-bound --n 3 --k 5", "double-star-1 --m 2 --k 3", "s311 --m 3 --k 3",
+], ids=lambda argv: argv.split()[0])
+def test_closed_form_outside_domain_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "closed-form", *argv.split(), "--json")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["exit"] == 2 and cf.CLOSED_FORMS[argv.split()[0]].domain in rec["error"]
 
 
 def test_verify_subset_exit_zero(capsys):
