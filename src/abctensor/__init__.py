@@ -4,6 +4,7 @@ tensor power iteration with certified brackets, closed forms, and a
 numeric verification suite."""
 
 from .hypergraph import (
+    MAX_VERTICES,
     DegreeVector,
     DuplicateEdgeError,
     EdgeCardinalityError,
@@ -39,6 +40,7 @@ from .tensor import (
     abc_index,
     apply,
     edge_weight,
+    edge_weights,
     form,
     k_unit,
     omega,

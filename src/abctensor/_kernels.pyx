@@ -6,8 +6,8 @@ from libc.stdint cimport int64_t
 COMPILED = True
 
 
-def contract(int64_t[:, ::1] edge_idx, double[::1] weights, double[::1] x,
-             double[::1] out):
+def contract(const int64_t[:, ::1] edge_idx, const double[::1] weights,
+             const double[::1] x, double[::1] out):
     """out[i] += sum over edges e containing i of w_e * prod_{j in e, j != i} x_j."""
     cdef Py_ssize_t m = edge_idx.shape[0]
     cdef Py_ssize_t k = edge_idx.shape[1]

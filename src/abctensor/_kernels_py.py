@@ -1,8 +1,9 @@
 """Pure-numpy fallback for the edge-major tensor contraction.
 
 Accumulation order matches the compiled kernel exactly (prefix/suffix
-products per edge, edges processed in order), so both produce
-bit-identical output.
+products per edge, edges processed in order, each vertex's terms summed
+from zero in edge order), so both produce bit-identical output into a
+zeroed ``out``, which is how the package calls it.
 """
 
 from __future__ import annotations
@@ -17,10 +18,14 @@ def contract(edge_idx: np.ndarray, weights: np.ndarray, x: np.ndarray, out: np.n
     m, k = edge_idx.shape
     if m == 0:
         return
-    X = x[edge_idx]  # (m, k)
-    pref = np.ones_like(X)
-    np.cumprod(X[:, :-1], axis=1, out=pref[:, 1:])
-    suff = np.ones_like(X)
-    np.cumprod(X[:, :0:-1], axis=1, out=suff[:, -2::-1])
-    contrib = (weights[:, None] * pref) * suff
-    np.add.at(out, edge_idx, contrib)
+    # Position-major (k, m) layout: each product step is one contiguous
+    # vector operation.
+    X = x[edge_idx.T]
+    pref = np.empty_like(X)
+    suff = np.empty_like(X)
+    pref[0] = suff[-1] = 1.0
+    for j in range(1, k):
+        np.multiply(pref[j - 1], X[j - 1], out=pref[j])
+        np.multiply(suff[-j], X[-j], out=suff[-j - 1])
+    contrib = (weights * pref) * suff
+    out += np.bincount(edge_idx.ravel(), weights=contrib.T.ravel(), minlength=out.size)

@@ -4,7 +4,9 @@ All numeric output serializes floats at 17 significant digits so results
 are reproducible across runs; `--json` switches every subcommand to
 machine-readable records (schema in schemas/cli-output.schema.json).
 Exit codes: 0 success, 1 verification found a violation, 2 usage or
-input error.
+input error, including a solve that does not converge within
+``--max-iters`` (the message carries the last bracket and iteration
+count).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import closed_forms as cf
 from . import generators as gen
 from . import verify as ver
 from .hypergraph import classify, parse_uhg, format_uhg
-from .spectral import SolveOptions, spectral_radius
+from .spectral import ConvergenceError, SolveOptions, spectral_radius
 from .tensor import Weighting, abc_index
 
 WEIGHTINGS = {"abc": Weighting.ABC, "adj": Weighting.ADJACENCY, "randic": Weighting.RANDIC}
@@ -34,30 +36,39 @@ def _parse_comp(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.replace(",", " ").split())
 
 
+def _flags(args, *names) -> list:
+    """Values of the named family flags; ValueError naming each one missing."""
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"--family {args.family} needs {' '.join(missing)}")
+    return [getattr(args, name) for name in names]
+
+
 def _power(args) -> "gen.UniformHypergraph":
+    of, k = _flags(args, "of", "k")
     base = {
-        "star": lambda: gen.hyperstar(args.m, 2),
-        "path": lambda: gen.hyperpath(args.m, 2),
-        "cycle": lambda: gen.cycle_graph(args.g),
+        "star": lambda: gen.hyperstar(*_flags(args, "m"), 2),
+        "path": lambda: gen.hyperpath(*_flags(args, "m"), 2),
+        "cycle": lambda: gen.cycle_graph(*_flags(args, "g")),
         "double-star": lambda: FAMILIES["double-star"](args),
-        "unicyclic-graph": lambda: gen.unicyclic_graph(args.m, args.g),
+        "unicyclic-graph": lambda: gen.unicyclic_graph(*_flags(args, "m", "g")),
     }
-    if args.of not in base:
+    if of not in base:
         raise ValueError(f"power base must be one of {sorted(base)}")
-    return gen.power(base[args.of](), args.k)
+    return gen.power(base[of](), k)
 
 
 FAMILIES = {
-    "hyperstar": lambda args: gen.hyperstar(args.m, args.k),
-    "hyperpath": lambda args: gen.hyperpath(args.m, args.k),
-    "hypercycle": lambda args: gen.hypercycle(args.g, args.k),
-    "complete": lambda args: gen.complete(args.n, args.k),
-    "double-star": lambda args: gen.double_star(args.m, args.a[0] if args.a else 1),
+    "hyperstar": lambda args: gen.hyperstar(*_flags(args, "m", "k")),
+    "hyperpath": lambda args: gen.hyperpath(*_flags(args, "m", "k")),
+    "hypercycle": lambda args: gen.hypercycle(*_flags(args, "g", "k")),
+    "complete": lambda args: gen.complete(*_flags(args, "n", "k")),
+    "double-star": lambda args: gen.double_star(*_flags(args, "m"), args.a[0] if args.a else 1),
     "power": _power,
-    "s-comp": lambda args: gen.s_composition(args.m, args.k, args.a),
-    "unicyclic": lambda args: gen.unicyclic_family(args.m, args.k, args.g, args.a),
-    "t-family": lambda args: gen.t_family(args.m, args.idx),
-    "example-h": lambda args: gen.example_h(args.idx),
+    "s-comp": lambda args: gen.s_composition(*_flags(args, "m", "k", "a")),
+    "unicyclic": lambda args: gen.unicyclic_family(*_flags(args, "m", "k", "g", "a")),
+    "t-family": lambda args: gen.t_family(*_flags(args, "m", "idx")),
+    "example-h": lambda args: gen.example_h(*_flags(args, "idx")),
 }
 
 
@@ -133,7 +144,7 @@ def _emit(record: dict, as_json: bool):
 
 
 def cmd_gen(args) -> int:
-    G = FAMILIES[args.family](args)
+    G = load_graph(args)
     if args.json:
         print(json.dumps({"k": G.k, "n": G.n, "m": G.m, "edges": [list(e) for e in G.edges]}))
     else:
@@ -234,7 +245,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ConvergenceError) as exc:
         if getattr(args, "json", False):
             sys.stderr.write(json.dumps({"error": str(exc), "exit": 2}) + "\n")
         else:

@@ -358,7 +358,10 @@ def _bind(name: str, params: Mapping[str, Optional[int]]) -> tuple[ClosedForm, d
 def closed_form(name: str, **params: Optional[int]) -> float:
     """Value of the named closed form at ``params``."""
     form, values = _bind(name, params)
-    return form.value(**values)
+    try:
+        return form.value(**values)
+    except OverflowError:
+        raise ValueError(f"closed form {name!r} at {values} does not fit a float") from None
 
 
 def closed_form_graph(name: str, **params: Optional[int]) -> UniformHypergraph:

@@ -1,17 +1,23 @@
 """k-uniform hypergraphs: representation, validation, classification, UHG I/O.
 
 A hypergraph is a frozen value: ``k`` (edge cardinality), ``n`` (vertex
-count, vertices are ``0..n-1``) and a lexicographically sorted tuple of
-edges, each an ascending tuple of ``k`` distinct vertex ids.  All
-operations here are pure functions; instances are safe to share across
-threads.
+count, vertices are ``0..n-1``) and a read-only int64 ``(m, k)`` array
+of edges, each row ascending and the rows in lexicographic order.
+``edges`` is the same list as a tuple of tuples.  All operations here
+are pure functions; instances are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+MAX_VERTICES = 10_000_000
+"""Largest vertex count ``build`` accepts.  Per-vertex arrays are
+allocated at the declared n, so a larger n is rejected before any."""
 
 
 class InvalidHypergraphError(ValueError):
@@ -46,23 +52,29 @@ class SizeCapExceededError(ValueError):
     """Desk-scale cap exceeded (canonical labeling, enumerations)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformHypergraph:
     k: int
     n: int
-    edges: tuple[tuple[int, ...], ...]
+    edge_array: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.edge_array.shape[0]
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @functools.cached_property
+    def degree_array(self) -> np.ndarray:
+        d = np.bincount(self.edge_array.ravel(), minlength=self.n)
+        d.flags.writeable = False
+        return d
 
     @functools.cached_property
     def degree_list(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                d[v] += 1
-        return tuple(d)
+        return tuple(self.degree_array.tolist())
 
     @functools.cached_property
     def vertex_edges(self) -> tuple[tuple[int, ...], ...]:
@@ -72,6 +84,19 @@ class UniformHypergraph:
             for v in e:
                 inc[v].append(i)
         return tuple(tuple(ei) for ei in inc)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UniformHypergraph):
+            return NotImplemented
+        return (self.k, self.n) == (other.k, other.n) and np.array_equal(
+            self.edge_array, other.edge_array
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.n, self.edge_array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"UniformHypergraph(k={self.k}, n={self.n}, edges={self.edges})"
 
 
 @dataclass(frozen=True)
@@ -94,40 +119,70 @@ class StructureReport:
 def build(k: int, n: int, edges: Iterable[Sequence[int]]) -> UniformHypergraph:
     """Validate and normalize an edge list into a UniformHypergraph.
 
-    Edges are stored sorted ascending and the edge list sorted
+    ``edges`` is any iterable of vertex sequences, or an integer ``(m, k)``
+    array.  Edges are stored sorted ascending and the edge list sorted
     lexicographically, so equal hypergraphs compare equal regardless of
-    input order.
+    input order.  On invalid input the first offending edge in the
+    caller's order is reported; within one edge the checks run in the
+    order cardinality, repeated vertex, vertex range, duplicate.
     """
     if k < 2:
         raise InvalidHypergraphError(f"edge cardinality k={k} must be >= 2")
     if n < k:
         raise InvalidHypergraphError(f"vertex count n={n} must be >= k={k}")
-    edge_list = [tuple(e) for e in edges]
-    if not edge_list:
+    if n > MAX_VERTICES:
+        raise InvalidHypergraphError(f"vertex count n={n} exceeds the cap {MAX_VERTICES}")
+    if not isinstance(edges, np.ndarray):
+        edges = [tuple(e) for e in edges]
+    if len(edges) == 0:
         raise InvalidHypergraphError("edge list must be nonempty")
+    try:
+        A = np.asarray(edges)
+    except ValueError:  # rows of different lengths
+        raise _first_invalid_edge(k, n, edges) from None
+    if A.ndim != 2 or A.shape[1] != k or A.dtype.kind not in "biu":
+        raise _first_invalid_edge(k, n, edges)
+    S = np.sort(A, axis=1).astype(np.int64, copy=False)
+    # A negative id read as unsigned exceeds any n.
+    if S.view(np.uint64).max() >= n or (S[:, 1:] == S[:, :-1]).any():
+        raise _first_invalid_edge(k, n, edges)
+    # Rows of nonnegative ids order lexicographically as their big-endian
+    # bytes; the stable sort takes one pass over rows already in order.
+    rows = S.astype(">i8").view(np.dtype((np.void, 8 * k))).ravel()
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    if (rows[1:] == rows[:-1]).any():
+        raise _first_invalid_edge(k, n, edges)
+    S = S[order]
+    S.flags.writeable = False
+    return UniformHypergraph(k=k, n=n, edge_array=S)
+
+
+def _first_invalid_edge(k: int, n: int, edges) -> InvalidHypergraphError:
+    """The error for the first offending edge, found edge by edge.  Runs
+    only after the array checks in ``build`` have rejected the input."""
+    if isinstance(edges, np.ndarray):
+        edges = [tuple(e) for e in edges.tolist()]
     seen: dict[tuple[int, ...], int] = {}
-    normalized = []
-    for i, e in enumerate(edge_list):
+    for i, e in enumerate(edges):
         if len(e) != k:
-            raise EdgeCardinalityError(
+            return EdgeCardinalityError(
                 f"edge {i} has {len(e)} vertices, expected {k}", edge_index=i
             )
         if len(set(e)) != k:
-            raise RepeatedVertexError(f"edge {i} repeats a vertex: {e}", edge_index=i)
+            return RepeatedVertexError(f"edge {i} repeats a vertex: {e}", edge_index=i)
         for v in e:
             if not (0 <= v < n):
-                raise VertexRangeError(
+                return VertexRangeError(
                     f"edge {i} contains vertex {v} outside [0, {n})", edge_index=i
                 )
         key = tuple(sorted(e))
         if key in seen:
-            raise DuplicateEdgeError(
+            return DuplicateEdgeError(
                 f"edge {i} duplicates edge {seen[key]}: {key}", edge_index=i
             )
         seen[key] = i
-        normalized.append(key)
-    normalized.sort()
-    return UniformHypergraph(k=k, n=n, edges=tuple(normalized))
+    return InvalidHypergraphError("vertex ids must be integers")
 
 
 def degrees(G: UniformHypergraph) -> DegreeVector:
@@ -136,30 +191,47 @@ def degrees(G: UniformHypergraph) -> DegreeVector:
 
 
 def is_connected(G: UniformHypergraph) -> bool:
-    """Every pair of vertices joined by a path of overlapping edges."""
-    seen = [False] * G.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for ei in G.vertex_edges[v]:
-            for w in G.edges[ei]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-    return count == G.n
+    """Every pair of vertices joined by a path of overlapping edges.
+
+    Union-find over whole arrays: each round hooks every root onto the
+    smallest root it shares an edge with, if that one is smaller, then
+    jumps pointers until every vertex points at its root.  A root that
+    is not hooked in a round gets a smaller neighbour root in the next,
+    so the number of roots halves at least every two rounds, whatever
+    the diameter.
+    """
+    E = G.edge_array
+    u = np.repeat(E[:, 0], G.k - 1)
+    v = E[:, 1:].ravel()
+    parent = np.arange(G.n)
+    while True:
+        pu, pv = parent[u], parent[v]
+        split = pu != pv
+        if not split.any():
+            break
+        pu, pv = pu[split], pv[split]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+    # Vertex 0 is the smallest id, so it stays the root of its component.
+    return not parent.any()
+
+
+def _shares_a_pair(G: UniformHypergraph) -> bool:
+    """Some two distinct edges meet in two or more vertices: some vertex
+    pair (a, b), a < b, lies in two edges.  One sort of m*C(k,2) codes."""
+    i, j = np.triu_indices(G.k, 1)
+    E = G.edge_array
+    codes = np.sort((E[:, i] * G.n + E[:, j]).ravel())
+    return bool((codes[1:] == codes[:-1]).any())
 
 
 def is_linear(G: UniformHypergraph) -> bool:
     """Every two distinct edges share at most one vertex."""
-    sets = [set(e) for e in G.edges]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if len(sets[i] & sets[j]) > 1:
-                return False
-    return True
+    return not _shares_a_pair(G)
 
 
 def girth(G: UniformHypergraph, budget: int = 500_000) -> tuple[Optional[int], str]:
@@ -171,13 +243,11 @@ def girth(G: UniformHypergraph, budget: int = 500_000) -> tuple[Optional[int], s
     Returns (length, "exact"), (None, "acyclic"), or
     (None, "undetermined") when the node budget is exhausted.
     """
+    # Length 2: any pair of edges meeting in >= 2 vertices.
+    if _shares_a_pair(G):
+        return 2, "exact"
     sets = [set(e) for e in G.edges]
     m = len(sets)
-    # Length 2: any pair of edges meeting in >= 2 vertices.
-    for i in range(m):
-        for j in range(i + 1, m):
-            if len(sets[i] & sets[j]) >= 2:
-                return 2, "exact"
 
     best: Optional[int] = None
     nodes = 0
@@ -266,8 +336,8 @@ def classify(G: UniformHypergraph, girth_budget: int = 500_000) -> StructureRepo
 
     power_flag: Optional[bool] = None
     if kind == "hypertree" and k >= 3:
-        d = G.degree_list
-        power_flag = all(sum(1 for v in e if d[v] == 1) >= k - 2 for e in G.edges)
+        leaves = (G.degree_array[G.edge_array] == 1).sum(axis=1)
+        power_flag = bool((leaves >= k - 2).all())
 
     return StructureReport(
         connected=connected,
@@ -298,41 +368,64 @@ def parse_uhg(text: str) -> UniformHypergraph:
     Line 1 is ``uhg <k> <n> <m>``; each of the next m lines holds k
     space-separated 0-based vertex ids.  Lines starting with ``#`` are
     comments.  Malformed input raises UhgParseError with a line number.
+
+    The edge lines become one int64 ``(m, k)`` array that ``build``
+    validates as a whole; only when that fails are the lines read one by
+    one to find the one to report.
     """
-    header = None
-    header_line = 0
+    lines = text.splitlines()
+    for start, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise UhgParseError("missing header", 1)
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "uhg":
+        raise UhgParseError("expected header 'uhg <k> <n> <m>'", start)
+    try:
+        k, n, m = (int(p) for p in parts[1:])
+    except ValueError:
+        raise UhgParseError("non-integer field in header", start) from None
+    rows = [ln for ln in lines[start:] if (s := ln.lstrip()) and s[0] != "#"]
+    # ";" between rows marks their ends: every k+1-th token is ";" exactly
+    # when each row holds k tokens, since ";" is not an integer.
+    tokens = " ; ".join(rows).split()
+    ends = slice(k, None, k + 1)
+    if len(rows) == m and len(tokens) == m * (k + 1) - 1 and tokens[ends].count(";") == m - 1:
+        del tokens[ends]
+        try:
+            # Each id is parsed by int(); one beyond int64 raises OverflowError.
+            return build(k, n, np.array(tokens, dtype=np.int64).reshape(m, k))
+        except (ValueError, OverflowError):  # InvalidHypergraphError included
+            pass
+    raise _first_bad_line(lines, start, k, n, m)
+
+
+def _first_bad_line(lines: list[str], header_line: int, k: int, n: int, m: int) -> UhgParseError:
+    """The error for the first offending line, read line by line.  Runs
+    only after the array pass in ``parse_uhg`` has rejected the input."""
     rows: list[tuple[int, list[int]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "uhg":
-                raise UhgParseError("expected header 'uhg <k> <n> <m>'", lineno)
-            try:
-                header = tuple(int(p) for p in parts[1:])
-            except ValueError:
-                raise UhgParseError("non-integer field in header", lineno) from None
-            header_line = lineno
-            continue
         try:
-            ids = [int(p) for p in line.split()]
+            rows.append((lineno, [int(p) for p in line.split()]))
         except ValueError:
-            raise UhgParseError("non-integer vertex id", lineno) from None
-        rows.append((lineno, ids))
-    if header is None:
-        raise UhgParseError("missing header", 1)
-    k, n, m = header
+            return UhgParseError("non-integer vertex id", lineno)
     if len(rows) != m:
-        raise UhgParseError(
+        return UhgParseError(
             f"header declares {m} edges but {len(rows)} edge lines found", header_line
         )
     for lineno, ids in rows:
         if len(ids) != k:
-            raise UhgParseError(f"expected {k} vertex ids, got {len(ids)}", lineno)
+            return UhgParseError(f"expected {k} vertex ids, got {len(ids)}", lineno)
     try:
-        return build(k, n, [ids for _, ids in rows])
+        build(k, n, [ids for _, ids in rows])
     except InvalidHypergraphError as exc:
         lineno = rows[exc.edge_index][0] if exc.edge_index is not None else header_line
-        raise UhgParseError(str(exc), lineno) from exc
+        err = UhgParseError(str(exc), lineno)
+        err.__cause__ = exc
+        return err
+    raise AssertionError("the array pass rejected input that reads line by line")

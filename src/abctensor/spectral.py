@@ -45,6 +45,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if self.shift <= 0:
             raise ValueError("shift must be positive")
         if self.initial not in ("uniform", "seeded-random"):
@@ -121,10 +123,12 @@ def spectral_radius(
         y /= y.max()
         x = k_unit(y ** (1.0 / (k - 1)), k)
     else:
+        lower, upper = lo_best - s, up_best - s
         raise ConvergenceError(
-            f"bracket still {up_best - lo_best:.3e} wide after {opts.max_iters} iterations",
-            lower=lo_best - s,
-            upper=up_best - s,
+            f"bracket still {up_best - lo_best:.3e} wide after {opts.max_iters} iterations "
+            f"(lower={lower:.17g}, upper={upper:.17g}, iters={opts.max_iters})",
+            lower=lower,
+            upper=upper,
             iters=opts.max_iters,
         )
 

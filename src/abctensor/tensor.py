@@ -18,6 +18,7 @@ Weight rules (d_i = vertex degrees, products/sums over the edge):
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ def omega(G: UniformHypergraph, e: int) -> float:
     final division.  Always >= 0; zero iff all k degrees are 1.
     """
     d = G.degree_list
-    edge = G.edges[e]
+    edge = G.edge_array[e].tolist()
     num = sum(d[v] for v in edge) - G.k
     den = math.prod(d[v] for v in edge)
     return num / den
@@ -62,8 +63,38 @@ def edge_weight(G: UniformHypergraph, e: int, w: Weighting) -> float:
     if w is Weighting.ABC:
         return omega(G, e) ** (1.0 / G.k)
     d = G.degree_list
-    den = math.prod(d[v] for v in G.edges[e])
+    den = math.prod(d[v] for v in G.edge_array[e].tolist())
     return den ** (-1.0 / G.k)
+
+
+_EXACT_PRODUCT = 2.0**53
+"""Degree products below this are exact in float64 whatever the order
+of the multiplications; an edge whose product reaches it is weighted by
+the exact-integer ``edge_weight``."""
+
+
+def edge_weights(G: UniformHypergraph, w: Weighting) -> np.ndarray:
+    """``edge_weight(G, e, w)`` for every edge e, equal bit for bit.
+
+    Degree sums and products are array reductions.  Below
+    ``_EXACT_PRODUCT`` they are exact integers in float64, so the quotient
+    rounds as the integer division in ``omega`` does.  The final root is
+    Python's float power, which can differ from ``np.power`` in the last
+    bit.
+    """
+    if w is Weighting.ADJACENCY:
+        return np.ones(G.m)
+    k = G.k
+    D = G.degree_array[G.edge_array]
+    prod = D.prod(axis=1, dtype=np.float64)
+    if w is Weighting.ABC:
+        base, exponent = (D.sum(axis=1) - k) / prod, 1.0 / k
+    else:
+        base, exponent = prod, -1.0 / k
+    out = np.fromiter(map(pow, base.tolist(), itertools.repeat(exponent)), np.float64, G.m)
+    for e in np.flatnonzero(prod >= _EXACT_PRODUCT).tolist():
+        out[e] = edge_weight(G, e, w)
+    return out
 
 
 @dataclass(frozen=True)
@@ -76,8 +107,7 @@ class TensorOperator:
 
     @classmethod
     def from_weighting(cls, G: UniformHypergraph, w: Weighting) -> "TensorOperator":
-        weights = np.array([edge_weight(G, e, w) for e in range(G.m)], dtype=np.float64)
-        return cls(G=G, weights=weights, _edge_idx=_edge_index_array(G))
+        return cls(G=G, weights=edge_weights(G, w), _edge_idx=G.edge_array)
 
     @property
     def k(self) -> int:
@@ -108,11 +138,6 @@ class TensorOperator:
         return float(x @ self.apply(x))
 
 
-def _edge_index_array(G: UniformHypergraph) -> np.ndarray:
-    arr = np.array(G.edges, dtype=np.int64).reshape(G.m, G.k)
-    return np.ascontiguousarray(arr)
-
-
 def apply(G: UniformHypergraph, w: Weighting, x: np.ndarray) -> np.ndarray:
     return TensorOperator.from_weighting(G, w).apply(x)
 
@@ -123,9 +148,7 @@ def form(G: UniformHypergraph, w: Weighting, x: np.ndarray) -> float:
 
 def abc_index(G: UniformHypergraph) -> float:
     """(1/(k-1)!) * sum over edges of omega(e)^(1/k)."""
-    k = G.k
-    total = sum(omega(G, e) ** (1.0 / k) for e in range(G.m))
-    return total / math.factorial(k - 1)
+    return sum(edge_weights(G, Weighting.ABC).tolist()) / math.factorial(G.k - 1)
 
 
 def k_unit(x: np.ndarray, k: int) -> np.ndarray:

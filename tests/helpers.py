@@ -47,3 +47,40 @@ def dense_apply(G: UniformHypergraph, w: Weighting, x: np.ndarray) -> np.ndarray
 def relabel(G: UniformHypergraph, perm: list[int]) -> UniformHypergraph:
     """Rebuild G with vertex v renamed perm[v]."""
     return build(G.k, G.n, [[perm[v] for v in e] for e in G.edges])
+
+
+def connected_by_search(G: UniformHypergraph) -> bool:
+    """Depth-first search over vertices and their edges."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for ei in G.vertex_edges[v]:
+            for w in G.edges[ei]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return len(seen) == G.n
+
+
+def shares_a_pair_by_pairs(G: UniformHypergraph) -> bool:
+    """Some two distinct edges meet in >= 2 vertices, by comparing every pair."""
+    return any(len(set(a) & set(b)) >= 2 for a, b in itertools.combinations(G.edges, 2))
+
+
+def contract_by_loop(G: UniformHypergraph, weights, x) -> np.ndarray:
+    """(T x^{k-1})_i edge by edge, in the kernel's arithmetic order: per
+    edge, prefix and suffix products, each term added into a zeroed out."""
+    out = np.zeros(G.n)
+    for w, e in zip(weights, G.edges):
+        pref, p = [], 1.0
+        for v in e:
+            pref.append(p)
+            p *= x[v]
+        suff, s = [0.0] * len(e), 1.0
+        for j in range(len(e) - 1, -1, -1):
+            suff[j] = s
+            s *= x[e[j]]
+        for j, v in enumerate(e):
+            out[v] += (w * pref[j]) * suff[j]
+    return out

@@ -139,3 +139,28 @@ def test_floats_serialized_17_digits(capsys):
     _, out, _ = run(capsys, "rho", "--family", "hyperstar", "--m", "5", "--k", "3", "--json")
     rec = json.loads(out)
     assert rec["rho"] == float(format(rec["rho"], ".17g"))
+
+
+@pytest.mark.parametrize("argv, needle", [
+    ("rho --family hyperstar --k 3", "--m"),
+    ("gen --family hyperstar --m 2", "--k"),
+    ("closed-form complete-bound --n 2000 --k 1000", "does not fit a float"),
+    ("rho --family hyperstar --m 3 --k 3 --max-iters 0", "max_iters must be at least 1"),
+    ("rho --family hyperpath --m 40 --k 3 --weighting randic --max-iters 100", "iters=100"),
+], ids=["family-flag-rho", "family-flag-gen", "overflow", "max-iters-0", "no-convergence"])
+def test_probes_end_in_the_error_record(capsys, argv, needle):
+    code, out, err = run(capsys, *argv.split(), "--json")
+    assert code == 2 and out == ""
+    rec = json.loads(err)
+    assert rec["exit"] == 2 and needle in rec["error"]
+    if needle == "iters=100":
+        assert "lower=" in rec["error"] and "upper=" in rec["error"]
+
+
+def test_huge_header_vertex_count_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.uhg"
+    path.write_text("uhg 3 100000000000 1\n0 1 2\n")
+    code, out, err = run(capsys, "rho", str(path), "--json")
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]
+    assert message.startswith("line 1: vertex count n=100000000000 exceeds the cap")

@@ -1,8 +1,11 @@
 """Representation, validation, classification, canonical codes, UHG I/O."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abctensor as ab
 from abctensor import (
@@ -22,7 +25,7 @@ from abctensor import (
     parse_uhg,
 )
 from abctensor import generators as gen
-from helpers import relabel
+from helpers import connected_by_search, relabel, shares_a_pair_by_pairs
 
 
 def test_build_minimal_single_edge():
@@ -243,3 +246,102 @@ def test_uhg_errors_carry_line_numbers():
     with pytest.raises(UhgParseError) as exc:
         parse_uhg("uhg 2 3 2\n0 1\n0 1\n")  # duplicate edge
     assert exc.value.line == 3
+
+
+# ---- error behaviour: type, message, edge_index and line ----
+
+
+@pytest.mark.parametrize("edges, error, message, index", [
+    # The first offending edge wins, whatever the kind of fault.
+    ([[0, 1, 2], [0, 1, 9], [0, 1, 2]], VertexRangeError,
+     "edge 1 contains vertex 9 outside [0, 5)", 1),
+    ([[0, 1, 2], [2, 1, 0], [3, 3, 4]], DuplicateEdgeError,
+     "edge 1 duplicates edge 0: (0, 1, 2)", 1),
+    ([[0, 1, 2], [3, 3, 4], [0, 1]], RepeatedVertexError,
+     "edge 1 repeats a vertex: (3, 3, 4)", 1),
+    # Within one edge: cardinality, then repeated vertex, then range.
+    ([[0, 1, 2], [7, 7]], EdgeCardinalityError, "edge 1 has 2 vertices, expected 3", 1),
+    ([[9, 9, 1]], RepeatedVertexError, "edge 0 repeats a vertex: (9, 9, 1)", 0),
+    ([[0, -1, 2]], VertexRangeError, "edge 0 contains vertex -1 outside [0, 5)", 0),
+    ([[0, 1, 2], [2, 3, 10**22]], VertexRangeError,
+     f"edge 1 contains vertex {10**22} outside [0, 5)", 1),
+], ids=["range-first", "duplicate-first", "repeat-first", "cardinality-before-repeat",
+        "repeat-before-range", "negative", "beyond-int64"])
+def test_build_error_pins(edges, error, message, index):
+    with pytest.raises(error) as exc:
+        build(3, 5, edges)
+    assert type(exc.value) is error
+    assert str(exc.value) == message and exc.value.edge_index == index
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("uhg 3 5 3\n0 1 2\n0 1 1\n0 1 9\n", "edge 1 repeats a vertex: (0, 1, 1)", 3),
+    ("uhg 3 5 2\n0 1 2\n2 1 0\n", "edge 1 duplicates edge 0: (0, 1, 2)", 3),
+    ("uhg 3 5 1\n0 -1 2\n", "edge 0 contains vertex -1 outside [0, 5)", 2),
+    ("uhg 3 5 2\n0 1 2\n2 3 9999999999999999999999\n",
+     "edge 1 contains vertex 9999999999999999999999 outside [0, 5)", 3),
+    ("uhg 3 5 2\n0 1 2\n0 1\n", "expected 3 vertex ids, got 2", 3),
+    ("uhg 3 5 2\n0 1 2\n0 x 2\n", "non-integer vertex id", 3),
+    # A non-integer token anywhere is reported before a wrong token count.
+    ("uhg 3 5 2\n0 1\n0 x 2\n", "non-integer vertex id", 3),
+    ("uhg 3 5 3\n0 1 2\n0 3 4\n", "header declares 3 edges but 2 edge lines found", 1),
+    ("# c\n\nuhg 3 5 2\n# c\n0 1 2\n\n  # c2\n0 3 3\n", "edge 1 repeats a vertex: (0, 3, 3)", 8),
+    ("# c\nuhg 3 2 1\n0 1 2\n", "vertex count n=2 must be >= k=3", 2),
+], ids=["first-bad-edge", "duplicate-reordered", "negative", "beyond-int64", "token-count",
+        "non-integer", "non-integer-before-count", "edge-count", "comments-and-blanks",
+        "header-values"])
+def test_parse_error_pins(text, message, line):
+    with pytest.raises(UhgParseError) as exc:
+        parse_uhg(text)
+    assert str(exc.value) == f"line {line}: {message}" and exc.value.line == line
+
+
+def test_vertex_count_cap_is_checked_before_allocating():
+    n = ab.MAX_VERTICES + 1
+    with pytest.raises(InvalidHypergraphError, match="exceeds the cap"):
+        build(3, n, [[0, 1, 2]])
+    with pytest.raises(UhgParseError, match="exceeds the cap") as exc:
+        parse_uhg("# huge\nuhg 3 100000000000 1\n0 1 2\n")
+    assert exc.value.line == 2
+
+
+# ---- array passes against their loop references ----
+
+
+@st.composite
+def small_hypergraphs(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 9))
+    pool = list(itertools.combinations(range(n), k))
+    edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10, unique=True))
+    return build(k, n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_hypergraphs())
+def test_linearity_and_girth_two_match_pairwise_intersection(G):
+    shares = shares_a_pair_by_pairs(G)
+    assert ab.is_linear(G) is not shares
+    assert (ab.girth(G, budget=2000)[0] == 2) is shares
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_hypergraphs(), st.randoms(use_true_random=False))
+def test_is_connected_matches_search(G, rnd):
+    perm = list(range(G.n))
+    rnd.shuffle(perm)
+    for H in (G, relabel(G, perm)):
+        assert is_connected(H) is connected_by_search(H)
+
+
+def test_is_connected_when_the_hub_has_the_largest_id():
+    n = 2000
+    star = build(2, n, [(v, n - 1) for v in range(n - 1)])
+    assert is_connected(star)
+    two_stars = [(v, n - 1) for v in range(n // 2)] + [(v, n - 2) for v in range(n // 2, n - 2)]
+    assert not is_connected(build(2, n, two_stars))
+
+
+def test_classify_hyperpath_with_1e5_edges():
+    rep = classify(gen.hyperpath(10**5, 3))
+    assert rep.kind == "hypertree" and rep.linear is True and rep.connected

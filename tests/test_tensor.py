@@ -19,7 +19,7 @@ from abctensor.tensor import (
     k_unit,
     omega,
 )
-from helpers import dense_apply, dense_form
+from helpers import contract_by_loop, dense_apply, dense_form
 
 
 def test_omega_single_edge_is_zero():
@@ -210,3 +210,43 @@ def test_k_unit():
     assert np.sum(x**3) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         k_unit(np.zeros(3), 3)
+
+
+def _random_graphs():
+    yield from (gen.random_connected_hypergraph(m, k, seed) for m, k, seed in
+                [(8, 3, 1), (12, 4, 2), (20, 3, 3), (6, 2, 4), (15, 5, 5)])
+    yield from (gen.random_hypertree(m, k, seed) for m, k, seed in [(30, 3, 6), (25, 4, 7)])
+
+
+def _with_pendant(G):
+    """G plus one pendant edge at vertex 0: degree products of both sizes."""
+    return gen.attach_pendant_edge(G, 0)
+
+
+@pytest.mark.parametrize("w", list(Weighting), ids=lambda w: w.value)
+def test_edge_weights_equal_edge_weight_bit_for_bit(w):
+    # complete(12, 7): degree products 462^7, between 2^53 and 2^63;
+    # complete(13, 8): 792^8, above 2^63, where the float64 product gives
+    # other abc weights.  Those edges take the exact-integer path, the
+    # pendant edge the array path.
+    big = [_with_pendant(gen.complete(12, 7)), _with_pendant(gen.complete(13, 8))]
+    products = [math.prod(G.degree_list[v] for v in G.edges[0]) for G in big]
+    assert 2**53 <= products[0] < 2**63 <= products[1]
+    for G in [*_random_graphs(), *big]:
+        want = np.array([edge_weight(G, e, w) for e in range(G.m)])
+        assert np.array_equal(TensorOperator.from_weighting(G, w).weights, want)
+
+
+def test_abc_index_equals_the_per_edge_sum_exactly():
+    for G in [*_random_graphs(), _with_pendant(gen.complete(13, 8))]:
+        want = sum(edge_weight(G, e, Weighting.ABC) for e in range(G.m)) / math.factorial(G.k - 1)
+        assert abc_index(G) == want
+
+
+def test_apply_equals_the_edge_by_edge_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for G in _random_graphs():
+        op = TensorOperator.from_weighting(G, Weighting.ABC)
+        for _ in range(3):
+            x = rng.uniform(0.05, 2.0, size=G.n)
+            assert np.array_equal(op.apply(x), contract_by_loop(G, op.weights, x))
