@@ -1,7 +1,7 @@
 """Spectral radii of k-uniform hypergraphs under abc, adjacency, and
 Randic edge weightings: generators for the extremal families, implicit
-tensor power iteration with certified brackets, closed forms, and a
-numeric verification suite."""
+tensor power iteration and Newton-Noda steps with certified brackets,
+closed forms, and a numeric verification suite."""
 
 from .hypergraph import (
     MAX_VERTICES,

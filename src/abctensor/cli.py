@@ -80,6 +80,8 @@ def load_graph(args) -> "gen.UniformHypergraph":
             return parse_uhg(sys.stdin.read())
         with open(args.file, "r", encoding="utf-8") as fh:
             return parse_uhg(fh.read())
+    if not hasattr(args, "file"):
+        raise ValueError(f"{args.command} needs --family")
     raise ValueError("provide an input file or --family")
 
 
@@ -105,7 +107,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--weighting", choices=sorted(WEIGHTINGS), default="abc")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=200_000)
+    p.add_argument("--max-iters", type=int, default=200_000,
+                   help="steps allowed, power and Newton alike, before the solve gives up")
     p.add_argument("--shift", type=float, default=1.0)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
@@ -123,7 +126,7 @@ def make_parser() -> argparse.ArgumentParser:
     for key in CLOSED_FORM_FLAGS:
         p.add_argument(f"--{key}", type=int)
     p.add_argument("--check", action="store_true",
-                   help="also compare against the power-iteration oracle")
+                   help="also solve the attaining hypergraph with spectral_radius and compare")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run the numeric verification suite")
@@ -167,6 +170,7 @@ def cmd_rho(args) -> int:
         "lower": _f(est.lower),
         "upper": _f(est.upper),
         "iters": est.iters,
+        "newton_steps": est.newton_steps,
         "residual": _f(est.residual),
         "weighting": args.weighting,
         "eigenvector": [_f(v) for v in est.eigenvector],

@@ -1,7 +1,9 @@
 """CLI: subcommands, JSON schema stability, round trips, exit codes."""
 
 import json
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from abctensor import closed_forms as cf
@@ -57,6 +59,18 @@ def test_rho_all_weightings(capsys):
         )
         assert code == 0
         assert json.loads(out)["rho"] == pytest.approx(expect, abs=1e-7)
+
+
+def test_rho_records_report_newton_steps_and_match_the_schema(capsys):
+    schema = json.loads((Path(__file__).parents[1] / "schemas" / "cli-output.schema.json").read_text())
+    validator = jsonschema.Draft202012Validator(schema)
+    for family, newton in ((["hyperstar", "--m", "5"], False), (["hyperpath", "--m", "30"], True)):
+        code, out, _ = run(capsys, "rho", "--family", *family, "--k", "3", "--json")
+        rec = json.loads(out)
+        assert code == 0 and not list(validator.iter_errors(rec))
+        assert (rec["newton_steps"] > 0) is newton
+    code, out, _ = run(capsys, "rho", "--family", "hyperpath", "--m", "30", "--k", "3")
+    assert "newton_steps: " in out
 
 
 def test_index(capsys):
@@ -146,8 +160,10 @@ def test_floats_serialized_17_digits(capsys):
     ("gen --family hyperstar --m 2", "--k"),
     ("closed-form complete-bound --n 2000 --k 1000", "does not fit a float"),
     ("rho --family hyperstar --m 3 --k 3 --max-iters 0", "max_iters must be at least 1"),
-    ("rho --family hyperpath --m 40 --k 3 --weighting randic --max-iters 100", "iters=100"),
-], ids=["family-flag-rho", "family-flag-gen", "overflow", "max-iters-0", "no-convergence"])
+    # n = 4201 is above spectral.NEWTON_MAX_N, so only power steps run.
+    ("rho --family hyperpath --m 2100 --k 3 --weighting randic --max-iters 100", "iters=100"),
+    ("gen", "gen needs --family"),
+], ids=["family-flag-rho", "family-flag-gen", "overflow", "max-iters-0", "no-convergence", "gen-no-family"])
 def test_probes_end_in_the_error_record(capsys, argv, needle):
     code, out, err = run(capsys, *argv.split(), "--json")
     assert code == 2 and out == ""

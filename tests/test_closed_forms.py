@@ -1,5 +1,5 @@
 """Closed forms: root extraction, known factorizations, bracket claims,
-orderings, and agreement with the power-iteration oracle."""
+orderings, and agreement with the solver."""
 
 import math
 

@@ -1,20 +1,29 @@
-"""Power-iteration solver: exact values, bracket certificates, residuals,
-symmetry of the Perron vector, and the power-lift identity."""
+"""Solver: exact values, bracket certificates, residuals, symmetry of the
+Perron vector, the power-lift identity, and the switch to Newton steps."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abctensor import build
+from abctensor import closed_forms as cf
 from abctensor import generators as gen
+from abctensor import spectral
 from abctensor.spectral import (
     ConvergenceError,
     NotConnectedError,
     SolveOptions,
+    _bordered_matrix,
     residual,
     residual_of,
     spectral_radius,
 )
 from abctensor.tensor import TensorOperator, Weighting, form, k_unit
+
+from helpers import relabel
 
 ABC = Weighting.ABC
 ADJ = Weighting.ADJACENCY
@@ -151,3 +160,115 @@ def test_bipartite_adjacency_needs_shift_and_converges():
     # period-2 oscillation of the unshifted iteration.
     est = spectral_radius(gen.double_star(5, 2), ADJ)
     assert est.rho == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("G, w, known", [
+    (gen.hyperpath(400, 3), ABC, cf.rho_abc_hyperpath(400, 3)),
+    (gen.hyperpath(400, 3), RND, 1.0),
+    (gen.random_hypertree(400, 3, 1), ABC, None),
+], ids=["hyperpath-abc", "hyperpath-randic", "random-hypertree-abc"])
+def test_slow_power_inputs_solve_with_default_options(G, w, known, monkeypatch):
+    # Power steps alone end in ConvergenceError after 200,000 iterations.
+    newton_step = spectral._newton_step
+    uppers = []
+
+    def recorded(op, x, xk1, ratios, hi, s):
+        step = newton_step(op, x, xk1, ratios, hi, s)
+        if step is not None:
+            _, zk1, yz = step
+            uppers.append((hi, float((yz / zk1).max())))
+        return step
+
+    monkeypatch.setattr(spectral, "_newton_step", recorded)
+    est = spectral_radius(G, w)
+    assert est.newton_steps == len(uppers) > 0
+    assert all(after < before for before, after in uppers)  # each step lowers the upper bound
+    assert est.upper - est.lower <= 1e-10 * max(1.0, est.upper)
+    if known is not None:
+        assert est.lower <= known <= est.upper
+    assert np.all(est.eigenvector > 0) and est.residual <= 1e-9
+
+
+@pytest.mark.parametrize("G, w, most", [
+    (gen.random_hypertree(7, 4, 2), ABC, 50),  # 303 power steps alone
+    (gen.random_hypertree(400, 3, 3), RND, 1000),  # 21,032 power steps alone
+], ids=["verify-scale", "n801"])
+def test_trees_take_newton_steps(G, w, most):
+    est = spectral_radius(G, w)
+    assert est.newton_steps > 0 and est.iters <= most
+
+
+def test_fast_inputs_stay_on_power_steps():
+    est = spectral_radius(gen.hyperstar(50, 3), ABC)
+    assert est.newton_steps == 0 and est.iters == 16
+
+
+def test_jacobian_is_the_derivative_of_the_contraction():
+    G = gen.unicyclic_family(6, 4, 3, (1, 0, 2, 0))
+    op = TensorOperator.from_weighting(G, ABC)
+    x = k_unit(np.random.default_rng(5).uniform(0.5, 1.5, G.n), G.k)
+    xk1 = x ** (G.k - 1)
+    B = _bordered_matrix(op, x, xk1, 0.0)
+    M = B[:-1, :-1]
+    assert np.array_equal(M, M.T) and np.all(np.diag(M) == 0.0)
+    assert np.array_equal(B[:-1, -1], -xk1) and np.all(B[-1, :-1] == 1.0) and B[-1, -1] == 0.0
+    diagonal = np.diag(-(G.k - 1) * 0.7 * x ** (G.k - 2))
+    assert np.allclose(_bordered_matrix(op, x, xk1, 0.7)[:-1, :-1] - M, diagonal, rtol=1e-15, atol=1e-15)
+    assert np.allclose(M @ x, (G.k - 1) * op.apply(x), rtol=1e-13, atol=0.0)
+    h = 1e-6
+    for j in (0, 3, G.n - 1):
+        e = np.zeros(G.n)
+        e[j] = h
+        column = (op.apply(x + e) - op.apply(x - e)) / (2 * h)
+        assert np.allclose(M[:, j], column, rtol=1e-7, atol=1e-9)
+
+
+def test_crossed_bounds_come_back_swapped():
+    # Rounding at shift 17 puts the best lower Collatz bound above the
+    # best upper one; their mean would miss rho = 0.01 * sqrt(2).
+    P3 = build(2, 3, [[0, 1], [1, 2]])
+    op = TensorOperator.from_weighting(P3, ADJ).scaled(0.01)
+    opts = SolveOptions(tol=1e-15, shift=17.0, initial="seeded-random", seed=38)
+    est = spectral_radius(op, opts=opts)
+    assert est.lower <= 0.01 * math.sqrt(2) <= est.upper
+    assert est.lower <= est.rho <= est.upper
+
+
+@st.composite
+def trees_and_unicyclics(draw):
+    k = draw(st.integers(2, 4))
+    if k == 2 or draw(st.booleans()):
+        return gen.random_hypertree(draw(st.integers(1, 9)), k, draw(st.integers(0, 10**6)))
+    g = draw(st.sampled_from((2, 3)))
+    a = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    return gen.unicyclic_family(g + sum(a), k, g, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees_and_unicyclics(), st.sampled_from(list(Weighting)), st.randoms(use_true_random=False))
+def test_randic_is_one_and_relabelling_keeps_rho(G, w, rnd):
+    est = spectral_radius(G, RND)
+    assert est.lower <= 1.0 <= est.upper
+    perm = list(range(G.n))
+    rnd.shuffle(perm)
+    a, b = spectral_radius(G, w), spectral_radius(relabel(G, perm), w)
+    assert a.lower <= b.rho <= a.upper and b.lower <= b.rho <= b.upper
+    assert b.lower <= a.rho <= b.upper
+
+
+def test_bracket_narrower_than_rounding_is_widened():
+    # Rounding of the Collatz ratios at shift 2.9 leaves the raw bracket
+    # [0.009999999999999343, 0.009999999999999787], which misses rho = 0.01.
+    K2 = build(2, 2, [[0, 1]])
+    op = TensorOperator.from_weighting(K2, ADJ).scaled(0.01)
+    est = spectral_radius(op, opts=SolveOptions(tol=1e-16, shift=2.9, initial="seeded-random", seed=0))
+    assert est.lower <= 0.01 <= est.upper
+    assert est.upper - est.lower <= 2 * spectral._ratio_error(op, 2.91) + 1e-15
+
+
+def test_power_brackets_are_not_widened(monkeypatch):
+    # A bracket about tol wide is returned as computed, bit for bit.
+    est = spectral_radius(gen.hyperstar(50, 3), ABC)
+    monkeypatch.setattr(spectral, "_ratio_error", lambda op, ratio: 0.0)
+    raw = spectral_radius(gen.hyperstar(50, 3), ABC)
+    assert (est.lower, est.upper, est.rho) == (raw.lower, raw.upper, raw.rho)
