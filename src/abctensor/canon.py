@@ -1,10 +1,18 @@
 """Canonical codes for small hypergraphs.
 
-Two hypergraphs get equal codes iff they are isomorphic.  The labeling
-is found by iterated color refinement plus individualization search,
-with discovered automorphisms pruning equivalent branches.  Worst-case
-cost is exponential; at the desk scales this package targets (n below
-the configured cap) it is fast.
+Two hypergraphs get equal codes iff they are isomorphic.  A code is the
+relabeled edge list, so it determines its graph; only the relabeling
+differs between the two ways of choosing it.
+
+Hypertrees (connected, n - 1 = m(k - 1)) take a linear-time path: the
+vertex-edge incidence tree is rooted at its center and every node is
+ranked by the sorted ranks of its children (Aho, Hopcroft and Ullman,
+1974); a depth-first walk in rank order numbers the vertices.  Every
+other hypergraph goes to iterated color refinement plus
+individualization search, with discovered automorphisms pruning
+equivalent branches (McKay and Piperno, 2014).  Only that search has an
+exponential worst case; at the desk scales this package targets (n
+below the configured cap) it is fast.
 """
 
 from __future__ import annotations
@@ -49,11 +57,82 @@ def _encode(G: UniformHypergraph, perm: list[int]) -> bytes:
     return bytes(out)
 
 
+def _tree_perm(G: UniformHypergraph) -> list[int] | None:
+    """Canonical relabeling (old id -> new id) of a hypertree, or None
+    when G is not one.
+
+    Node v < n of the incidence tree is vertex v, node n + i is edge i.
+    Peeling leaves layer by layer takes every node iff the incidence
+    graph is a tree, which with n - 1 = m(k - 1) means G is a hypertree.
+    The last node peeled is the center.  A node's layer is its height
+    with the tree rooted there, and its parent is the one neighbour left
+    when it is peeled.  For k >= 2 every leaf is a vertex node, so the
+    center is unique.
+    """
+    n, m, k = G.n, G.m, G.k
+    if k < 2 or n - 1 != m * (k - 1):
+        return None
+    adj = [[n + i for i in ei] for ei in G.vertex_edges] + [list(e) for e in G.edges]
+    left = [len(a) for a in adj]
+    peeled = [False] * (n + m)
+    children: list[list[int]] = [[] for _ in range(n + m)]
+    layers = []
+    layer = [v for v in range(n) if left[v] == 1]
+    while layer:
+        layers.append(layer)
+        for v in layer:
+            peeled[v] = True
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                if not peeled[u]:
+                    children[u].append(v)
+                    left[u] -= 1
+                    if left[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    if sum(map(len, layers)) != n + m:
+        return None
+
+    # A node's rank is the rank of its children's sorted ranks among the
+    # distinct such tuples of its layer; layers take consecutive ranges.
+    rank = [0] * (n + m)
+    base = 0
+    for layer in layers:
+        keys = []
+        for v in layer:
+            children[v].sort(key=rank.__getitem__)
+            keys.append(tuple(rank[c] for c in children[v]))
+        order = {key: base + i for i, key in enumerate(sorted(set(keys)))}
+        for v, key in zip(layer, keys):
+            rank[v] = order[key]
+        base += len(order)
+
+    # Children of equal rank have isomorphic subtrees, so the preorder
+    # numbering does not depend on how their ties fall.
+    perm = [0] * n
+    new_id = 0
+    stack = [layers[-1][0]]
+    while stack:
+        v = stack.pop()
+        if v < n:
+            perm[v] = new_id
+            new_id += 1
+        stack.extend(reversed(children[v]))
+    return perm
+
+
 def canonical_code(G: UniformHypergraph, size_cap: int = DEFAULT_SIZE_CAP) -> bytes:
     if G.n > min(size_cap, 255):
         raise SizeCapExceededError(
             f"canonical labeling capped at {min(size_cap, 255)} vertices, got {G.n}"
         )
+    perm = _tree_perm(G)
+    return _search_code(G) if perm is None else _encode(G, perm)
+
+
+def _search_code(G: UniformHypergraph) -> bytes:
+    """The least code over the leaves of the individualization search."""
     n = G.n
     d = G.degree_list
     init = sorted(set(d))

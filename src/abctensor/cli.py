@@ -251,7 +251,10 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ValueError, KeyError, OSError, ConvergenceError) as exc:
         if getattr(args, "json", False):
-            sys.stderr.write(json.dumps({"error": str(exc), "exit": 2}) + "\n")
+            rec = {"error": str(exc), "exit": 2}
+            if isinstance(exc, ConvergenceError):
+                rec.update(lower=_f(exc.lower), upper=_f(exc.upper), iters=exc.iters)
+            sys.stderr.write(json.dumps(rec) + "\n")
         else:
             sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -258,12 +258,16 @@ def enumerate_hypertrees(
 
 
 def random_hypertree(m: int, k: int, seed: int) -> UniformHypergraph:
-    """Seeded random hypertree built by uniform pendant-edge attachment."""
+    """Seeded random hypertree built by uniform pendant-edge attachment:
+    each new edge joins a uniformly drawn existing vertex to k-1 fresh
+    ones.  The edge list is collected first and built once."""
     rng = random.Random(seed)
-    G = build(k, k, [tuple(range(k))])
+    edges = [tuple(range(k))]
+    n = k
     for _ in range(m - 1):
-        G = attach_pendant_edge(G, rng.randrange(G.n))
-    return G
+        edges.append((rng.randrange(n),) + tuple(range(n, n + k - 1)))
+        n += k - 1
+    return build(k, n, edges)
 
 
 def random_connected_hypergraph(m: int, k: int, seed: int) -> UniformHypergraph:

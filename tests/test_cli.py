@@ -171,6 +171,9 @@ def test_probes_end_in_the_error_record(capsys, argv, needle):
     assert rec["exit"] == 2 and needle in rec["error"]
     if needle == "iters=100":
         assert "lower=" in rec["error"] and "upper=" in rec["error"]
+        assert rec["iters"] == 100 and 0 < rec["lower"] < rec["upper"]
+        schema = json.loads((Path(__file__).parents[1] / "schemas" / "cli-output.schema.json").read_text())
+        assert not list(jsonschema.Draft202012Validator(schema).iter_errors(rec))
 
 
 def test_huge_header_vertex_count_is_an_input_error(tmp_path, capsys):

@@ -2,7 +2,9 @@
 and isomorphism-free enumeration."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from abctensor import build, canonical_code, classify, degrees
@@ -250,3 +252,14 @@ def test_random_hypertree_is_reproducible():
     b = gen.random_hypertree(6, 3, seed=42)
     assert a == b
     assert classify(a).kind == "hypertree"
+
+
+def test_random_hypertree_matches_the_attach_loop():
+    for m, k in ((1, 3), (7, 2), (20, 3), (15, 5)):
+        for seed in range(10):
+            rng = random.Random(seed)
+            ref = build(k, k, [tuple(range(k))])
+            for _ in range(m - 1):
+                ref = gen.attach_pendant_edge(ref, rng.randrange(ref.n))
+            G = gen.random_hypertree(m, k, seed)
+            assert G.n == ref.n and np.array_equal(G.edge_array, ref.edge_array)

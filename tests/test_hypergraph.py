@@ -25,6 +25,7 @@ from abctensor import (
     parse_uhg,
 )
 from abctensor import generators as gen
+from abctensor.canon import _search_code, _tree_perm
 from helpers import connected_by_search, relabel, shares_a_pair_by_pairs
 
 
@@ -218,6 +219,58 @@ def test_canonical_code_single_edge_all_labelings():
 def test_canonical_code_size_cap():
     with pytest.raises(SizeCapExceededError):
         canonical_code(gen.hyperstar(40, 3), size_cap=64)
+
+
+def test_tree_codes_give_the_search_classes_on_every_enumerated_hypertree():
+    rng = random.Random(3)
+    for k, max_m in sorted(gen._ENUM_BUDGET.items()):
+        for m in range(1, max_m + 1):
+            trees = gen.enumerate_hypertrees(m, k)
+            graphs = []
+            for T in trees:
+                graphs.append(T)
+                for _ in range(3):
+                    perm = list(range(T.n))
+                    rng.shuffle(perm)
+                    graphs.append(relabel(T, perm))
+            assert all(_tree_perm(G) is not None for G in graphs)
+            pairs = {(canonical_code(G), _search_code(G)) for G in graphs}
+            # One pair per class: each code determines the other.
+            tree_codes, search_codes = {a for a, _ in pairs}, {b for _, b in pairs}
+            assert len(pairs) == len(tree_codes) == len(search_codes) == len(trees), (k, m)
+
+
+@st.composite
+def relabeled_tree_or_unicyclic(draw):
+    if draw(st.booleans()):
+        m, k = draw(st.integers(1, 12)), draw(st.integers(2, 4))
+        G = gen.random_hypertree(m, k, draw(st.integers(0, 2**16)))
+    else:
+        k, g = draw(st.integers(3, 4)), draw(st.sampled_from((2, 3)))
+        a = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        G = gen.unicyclic_family(g + sum(a), k, g, a)
+    return G, draw(st.permutations(range(G.n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_tree_or_unicyclic())
+def test_canonical_code_is_relabel_invariant(case):
+    G, perm = case
+    assert canonical_code(relabel(G, perm)) == canonical_code(G)
+
+
+def test_single_edge_takes_the_tree_path_centered_on_the_edge():
+    for k in (2, 3, 5):
+        G = build(k, k, [range(k)])
+        assert _tree_perm(G) is not None
+        assert canonical_code(G) == _search_code(G)
+
+
+def test_disconnected_graph_with_the_tree_vertex_count_takes_the_search():
+    # n - 1 = m(k - 1) = 4, but vertex 4 is isolated and the edges meet twice.
+    G = build(3, 5, [(0, 1, 2), (0, 1, 3)])
+    assert _tree_perm(G) is None
+    assert canonical_code(G) == _search_code(G)
 
 
 # ---- UHG v1 ----
