@@ -34,7 +34,6 @@ from .spectral import (
     spectral_radius,
 )
 from .tensor import (
-    COMPILED_KERNEL,
     TensorOperator,
     Weighting,
     abc_index,

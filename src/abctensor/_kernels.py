@@ -1,16 +1,13 @@
-"""Pure-numpy fallback for the edge-major tensor contraction.
+"""The edge-major tensor contraction, the hot loop of power iteration.
 
-Accumulation order matches the compiled kernel exactly (prefix/suffix
-products per edge, edges processed in order, each vertex's terms summed
-from zero in edge order), so both produce bit-identical output into a
-zeroed ``out``, which is how the package calls it.
+Each vertex's terms are summed from zero in edge order, each edge's
+term from prefix and suffix products over its positions, so the output
+into a zeroed ``out`` equals the edge-by-edge loop bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-COMPILED = False
 
 
 def contract(edge_idx: np.ndarray, weights: np.ndarray, x: np.ndarray, out: np.ndarray):

@@ -6,13 +6,14 @@ machine-readable records (schema in schemas/cli-output.schema.json).
 Exit codes: 0 success, 1 verification found a violation, 2 usage or
 input error, including a solve that does not converge within
 ``--max-iters`` (the message carries the last bracket and iteration
-count).
+count), and a reader that closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import closed_forms as cf
@@ -44,18 +45,19 @@ def _flags(args, *names) -> list:
     return [getattr(args, name) for name in names]
 
 
+POWER_BASES = {
+    "star": lambda args: gen.hyperstar(*_flags(args, "m"), 2),
+    "path": lambda args: gen.hyperpath(*_flags(args, "m"), 2),
+    "cycle": lambda args: gen.cycle_graph(*_flags(args, "g")),
+    "double-star": lambda args: FAMILIES["double-star"](args),
+    "unicyclic-graph": lambda args: gen.unicyclic_graph(*_flags(args, "m", "g")),
+}
+"""The 2-uniform bases ``--family power --of`` takes."""
+
+
 def _power(args) -> "gen.UniformHypergraph":
     of, k = _flags(args, "of", "k")
-    base = {
-        "star": lambda: gen.hyperstar(*_flags(args, "m"), 2),
-        "path": lambda: gen.hyperpath(*_flags(args, "m"), 2),
-        "cycle": lambda: gen.cycle_graph(*_flags(args, "g")),
-        "double-star": lambda: FAMILIES["double-star"](args),
-        "unicyclic-graph": lambda: gen.unicyclic_graph(*_flags(args, "m", "g")),
-    }
-    if of not in base:
-        raise ValueError(f"power base must be one of {sorted(base)}")
-    return gen.power(base[of](), k)
+    return gen.power(POWER_BASES[of](args), k)
 
 
 FAMILIES = {
@@ -92,11 +94,28 @@ def _add_family_flags(p: argparse.ArgumentParser, with_file: bool = True):
     for key in ("m", "k", "g", "n", "idx"):
         p.add_argument(f"--{key}", type=int)
     p.add_argument("--a", type=_parse_comp, help="composition, e.g. '2,1,1'")
-    p.add_argument("--of", help="base family for --family power")
+    p.add_argument("--of", choices=list(POWER_BASES), help="base family for --family power")
+
+
+class UsageError(ValueError):
+    """A command line the parser rejects; ``parser`` is the (sub)parser
+    whose usage line goes with the message."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print it and exit, so that
+    ``main`` reports it like any other usage error."""
+
+    def error(self, message):
+        raise UsageError(self, message)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="abctensor", description=__doc__)
+    ap = _Parser(prog="abctensor", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a named family as UHG v1 text")
@@ -237,8 +256,7 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     handlers = {
         "gen": cmd_gen,
         "rho": cmd_rho,
@@ -248,13 +266,26 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        args = make_parser().parse_args(argv)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull, as the signal
+        # module's documentation advises, so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (ValueError, KeyError, OSError, ConvergenceError) as exc:
-        if getattr(args, "json", False):
+        if "--json" in argv:
             rec = {"error": str(exc), "exit": 2}
             if isinstance(exc, ConvergenceError):
                 rec.update(lower=_f(exc.lower), upper=_f(exc.upper), iters=exc.iters)
             sys.stderr.write(json.dumps(rec) + "\n")
+        elif isinstance(exc, UsageError):
+            exc.parser.print_usage(sys.stderr)
+            sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
         else:
             sys.stderr.write(f"error: {exc}\n")
         return 2

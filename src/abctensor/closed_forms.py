@@ -355,17 +355,21 @@ def _bind(name: str, params: Mapping[str, Optional[int]]) -> tuple[ClosedForm, d
     return form, bound.arguments
 
 
-def closed_form(name: str, **params: Optional[int]) -> float:
-    """Value of the named closed form at ``params``."""
+def _evaluate(name: str, params: Mapping[str, Optional[int]], part: str):
+    """``CLOSED_FORMS[name].<part>`` at ``params``, OverflowError as ValueError."""
     form, values = _bind(name, params)
     try:
-        return form.value(**values)
+        return getattr(form, part)(**values)
     except OverflowError:
         raise ValueError(f"closed form {name!r} at {values} does not fit a float") from None
+
+
+def closed_form(name: str, **params: Optional[int]) -> float:
+    """Value of the named closed form at ``params``."""
+    return _evaluate(name, params, "value")
 
 
 def closed_form_graph(name: str, **params: Optional[int]) -> UniformHypergraph:
     """The hypergraph whose radius under ``CLOSED_FORMS[name].weighting``
     the named closed form gives at ``params``."""
-    form, values = _bind(name, params)
-    return form.graph(**values)
+    return _evaluate(name, params, "graph")

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .canon import canonical_code
-from .hypergraph import UniformHypergraph, build
+from .hypergraph import UniformHypergraph, build, check_vertex_count
 
 
 class BudgetExceededError(ValueError):
@@ -43,16 +43,20 @@ def hyperstar(m: int, k: int) -> UniformHypergraph:
     """S_{m,k}: m edges through a common center, n = m(k-1)+1."""
     if m < 1 or k < 2:
         raise ValueError("hyperstar needs m >= 1 and k >= 2")
+    n = m * (k - 1) + 1
+    check_vertex_count(n)
     edges = [(0,) + tuple(range(1 + i * (k - 1), 1 + (i + 1) * (k - 1))) for i in range(m)]
-    return build(k, m * (k - 1) + 1, edges)
+    return build(k, n, edges)
 
 
 def hyperpath(m: int, k: int) -> UniformHypergraph:
     """P_{m,k}: consecutive edges share exactly one vertex."""
     if m < 1 or k < 2:
         raise ValueError("hyperpath needs m >= 1 and k >= 2")
+    n = m * (k - 1) + 1
+    check_vertex_count(n)
     edges = [tuple(range(i * (k - 1), i * (k - 1) + k)) for i in range(m)]
-    return build(k, m * (k - 1) + 1, edges)
+    return build(k, n, edges)
 
 
 def hypercycle(g: int, k: int) -> UniformHypergraph:
@@ -61,6 +65,7 @@ def hypercycle(g: int, k: int) -> UniformHypergraph:
     if g < 2 or k < 3:
         raise ValueError("hypercycle needs g >= 2 and k >= 3")
     n = g * (k - 1)
+    check_vertex_count(n)
     edges = []
     for i in range(g):
         edges.append(tuple((i * (k - 1) + j) % n for j in range(k)))
@@ -71,6 +76,7 @@ def cycle_graph(g: int) -> UniformHypergraph:
     """Ordinary cycle on g vertices (2-uniform)."""
     if g < 3:
         raise ValueError("cycle_graph needs g >= 3")
+    check_vertex_count(g)
     return build(2, g, [(i, (i + 1) % g) for i in range(g)])
 
 
@@ -93,6 +99,7 @@ def power(G: UniformHypergraph, k: int) -> UniformHypergraph:
         raise ValueError(f"power target k={k} must be >= edge cardinality {r}")
     if k == r:
         return G
+    check_vertex_count(G.n + G.m * (k - r))
     edges = []
     nxt = G.n
     for e in G.edges:
@@ -105,6 +112,7 @@ def double_star(m: int, a: int) -> UniformHypergraph:
     """D_{m,a}: centers of S_{a,2} and S_{m-1-a,2} joined by an edge."""
     if m < 3 or not (1 <= a <= (m - 1) / 2):
         raise ValueError(f"double_star needs m >= 3 and 1 <= a <= (m-1)/2, got m={m}, a={a}")
+    check_vertex_count(m + 1)
     b = m - 1 - a
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
@@ -121,6 +129,7 @@ def s_composition(m: int, k: int, a: Sequence[int]) -> UniformHypergraph:
         raise ValueError("composition entries must be >= 0")
     if sum(a) != m - 1:
         raise ValueError(f"composition must sum to m-1={m - 1}, got {sum(a)}")
+    check_vertex_count(k + (m - 1) * (k - 1))
     G = build(k, k, [tuple(range(k))])
     for v in range(k):
         for _ in range(a[v]):
@@ -140,6 +149,7 @@ def unicyclic_family(m: int, k: int, g: int, a: Sequence[int]) -> UniformHypergr
         raise ValueError(f"composition must have k={k} nonnegative entries")
     if sum(a) != m - g:
         raise ValueError(f"composition must sum to m-g={m - g}, got {sum(a)}")
+    check_vertex_count(m * (k - 1))
     G = hypercycle(g, k)
     # Edge 0 of C_{g,k} is (0, 1, ..., k-1) with joints 0 and k-1.
     for v in range(k):
@@ -153,6 +163,7 @@ def unicyclic_graph(m: int, g: int) -> UniformHypergraph:
     cycle vertex (2-uniform)."""
     if g < 3 or m < g:
         raise ValueError("unicyclic_graph needs g >= 3 and m >= g")
+    check_vertex_count(m)
     G = cycle_graph(g)
     for _ in range(m - g):
         G = attach_pendant_edge(G, 0)
@@ -186,6 +197,7 @@ def t_family(m: int, idx: int) -> UniformHypergraph:
     if idx == 3:
         # Built directly: hub c2=0 with m-4 pendant edges, bridge {0, c1, z},
         # edge {c1, w1, w2}, and a pendant edge at each of w1, w2.
+        check_vertex_count(2 * m + 1)
         edges = []
         nxt = 1
         for _ in range(m - 4):

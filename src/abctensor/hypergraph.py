@@ -116,6 +116,13 @@ class StructureReport:
     power_hypertree: Optional[bool]
 
 
+def check_vertex_count(n: int) -> None:
+    """InvalidHypergraphError if n exceeds ``MAX_VERTICES``; generators call
+    it before they list any edge, so a huge parameter cannot hang them."""
+    if n > MAX_VERTICES:
+        raise InvalidHypergraphError(f"vertex count n={n} exceeds the cap {MAX_VERTICES}")
+
+
 def build(k: int, n: int, edges: Iterable[Sequence[int]]) -> UniformHypergraph:
     """Validate and normalize an edge list into a UniformHypergraph.
 
@@ -130,8 +137,7 @@ def build(k: int, n: int, edges: Iterable[Sequence[int]]) -> UniformHypergraph:
         raise InvalidHypergraphError(f"edge cardinality k={k} must be >= 2")
     if n < k:
         raise InvalidHypergraphError(f"vertex count n={n} must be >= k={k}")
-    if n > MAX_VERTICES:
-        raise InvalidHypergraphError(f"vertex count n={n} exceeds the cap {MAX_VERTICES}")
+    check_vertex_count(n)
     if not isinstance(edges, np.ndarray):
         edges = [tuple(e) for e in edges]
     if len(edges) == 0:

@@ -80,12 +80,12 @@ class SolveOptions:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.shift <= 0:
-            raise ValueError("shift must be positive")
+        if not (math.isfinite(self.shift) and self.shift > 0):
+            raise ValueError("shift must be positive and finite")
         if self.initial not in ("uniform", "seeded-random"):
             raise ValueError("initial must be 'uniform' or 'seeded-random'")
 
@@ -255,7 +255,7 @@ def _bordered_matrix(op: TensorOperator, x: np.ndarray, xk1: np.ndarray, lam: fl
     is the Jacobian of ``T x^{k-1}`` (so ``M x = (k-1) T x^{k-1}``), built
     by one bincount over the m*k*(k-1) ordered vertex pairs of the edges.
     """
-    n, k, E = op.n, op.k, op._edge_idx
+    n, k, E = op.n, op.k, op.G.edge_array
     i, j = np.nonzero(~np.eye(k, dtype=bool))  # ordered pairs of positions in an edge
     X = x[E]
     P = op.weights * X.prod(axis=1)

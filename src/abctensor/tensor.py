@@ -20,22 +20,16 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .hypergraph import UniformHypergraph
 
-if os.environ.get("ABCTENSOR_PURE"):
-    from . import _kernels_py as _kernels
-else:
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kernels
-
-COMPILED_KERNEL = bool(getattr(_kernels, "COMPILED", False))
+COMPILED_KERNEL = False
+"""Always False: there is no compiled kernel.  ``perfbench/run.py`` is
+the only reader, and the next change to the benchmark removes it."""
 
 
 class Weighting(str, enum.Enum):
@@ -103,11 +97,10 @@ class TensorOperator:
 
     G: UniformHypergraph
     weights: np.ndarray = field(repr=False)
-    _edge_idx: np.ndarray = field(repr=False)
 
     @classmethod
     def from_weighting(cls, G: UniformHypergraph, w: Weighting) -> "TensorOperator":
-        return cls(G=G, weights=edge_weights(G, w), _edge_idx=G.edge_array)
+        return cls(G=G, weights=edge_weights(G, w))
 
     @property
     def k(self) -> int:
@@ -121,7 +114,7 @@ class TensorOperator:
         return bool(np.all(self.weights == 0.0))
 
     def scaled(self, c: float) -> "TensorOperator":
-        return TensorOperator(G=self.G, weights=self.weights * c, _edge_idx=self._edge_idx)
+        return TensorOperator(G=self.G, weights=self.weights * c)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(T x^{k-1})_i, deterministic edge-major accumulation."""
@@ -129,7 +122,7 @@ class TensorOperator:
         if x.shape != (self.n,):
             raise ValueError(f"vector length {x.shape} does not match n={self.n}")
         out = np.zeros(self.n, dtype=np.float64)
-        _kernels.contract(self._edge_idx, self.weights, x, out)
+        _kernels.contract(self.G.edge_array, self.weights, x, out)
         return out
 
     def form(self, x: np.ndarray) -> float:

@@ -1,15 +1,26 @@
 """CLI: subcommands, JSON schema stability, round trips, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abctensor import closed_forms as cf
 from abctensor import generators as gen
 from abctensor import parse_uhg
-from abctensor.cli import main
+from abctensor.cli import main, make_parser
+
+SRC = Path(__file__).parents[1] / "src"
+HUGE = str(10**20)
 
 
 def run(capsys, *argv):
@@ -163,7 +174,20 @@ def test_floats_serialized_17_digits(capsys):
     # n = 4201 is above spectral.NEWTON_MAX_N, so only power steps run.
     ("rho --family hyperpath --m 2100 --k 3 --weighting randic --max-iters 100", "iters=100"),
     ("gen", "gen needs --family"),
-], ids=["family-flag-rho", "family-flag-gen", "overflow", "max-iters-0", "no-convergence", "gen-no-family"])
+    (f"gen --family hyperstar --m {HUGE} --k 3", "exceeds the cap"),
+    (f"gen --family hyperpath --m {HUGE} --k 3", "exceeds the cap"),
+    (f"gen --family hypercycle --g {HUGE} --k 3", "exceeds the cap"),
+    (f"gen --family double-star --m {HUGE}", "exceeds the cap"),
+    (f"gen --family power --of star --m 3 --k {HUGE}", "exceeds the cap"),
+    (f"closed-form s4-1111 --m 3000 --k {HUGE} --check", "does not fit a float"),
+    ("rho --family hyperpath --m 2 --k 3 --shift inf", "shift must be positive and finite"),
+    ("rho --family hyperpath --m 2 --k 3 --shift nan", "shift must be positive and finite"),
+    ("rho --family hyperpath --m 2 --k 3 --tol nan", "tol must be positive and finite"),
+    ("rho --family hyperpath --m 2 --k 3 --tol inf", "tol must be positive and finite"),
+    ("gen --family hyperstar --m x", "argument --m: invalid int value: 'x'"),
+], ids=["family-flag-rho", "family-flag-gen", "overflow", "max-iters-0", "no-convergence", "gen-no-family",
+        "huge-hyperstar", "huge-hyperpath", "huge-hypercycle", "huge-double-star", "huge-power",
+        "huge-closed-form-graph", "shift-inf", "shift-nan", "tol-nan", "tol-inf", "usage"])
 def test_probes_end_in_the_error_record(capsys, argv, needle):
     code, out, err = run(capsys, *argv.split(), "--json")
     assert code == 2 and out == ""
@@ -183,3 +207,91 @@ def test_huge_header_vertex_count_is_an_input_error(tmp_path, capsys):
     assert code == 2 and out == ""
     message = json.loads(err)["error"]
     assert message.startswith("line 1: vertex count n=100000000000 exceeds the cap")
+
+
+def test_usage_errors_keep_the_argparse_text_without_json(capsys):
+    code, out, err = run(capsys, "gen", "--family", "hyperstar", "--m", "x")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: abctensor gen")
+    assert err.endswith("abctensor gen: error: argument --m: invalid int value: 'x'\n")
+
+
+@pytest.mark.parametrize("read", [10, 0], ids=["after-10-bytes", "before-the-first-byte"])
+def test_a_closed_stdout_ends_quietly(read):
+    # 343 KB of output, well past the 64 KB pipe buffer.
+    argv = ["gen", "--family", "hyperpath", "--m", "20000", "--k", "3"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "abctensor.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert err == b""
+    # A write that had begun may end short without an error; one that had
+    # not finds the pipe closed.
+    assert code in (0, 2)
+    if read == 0:
+        assert code == 2
+
+
+# ---- fuzzing the command line ----
+
+FUZZ_VALUES = ["-1", "0", "1", "2", "3", "4", HUGE, "x", "nan", "inf"]
+WELL_FORMED = {"--a": ["1,1,1", "2,1,1"], "--idx": ["1", "2", "3", "4"], "--max-iters": ["200000"]}
+"""Values that pass the parser and the checks of a flag without choices;
+any other flag takes 3, 4, 5 or 6, which most families accept."""
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """Every subparser but ``verify``, which takes about a second a run."""
+    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: p for name, p in sub.choices.items() if name != "verify"}
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str):
+    return json.loads(text, parse_constant=_no_constants)
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A subcommand with about three in four of its flags, each valued
+    from FUZZ_VALUES one time in eight and else from values that parse."""
+    name, parser = draw(st.sampled_from(sorted(_subcommands().items())))
+    argv = [name]
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag = action.option_strings[0] if action.option_strings else None
+        if not (action.required or draw(st.integers(0, 3))):
+            continue
+        known = list(action.choices or WELL_FORMED.get(flag, ["3", "4", "5", "6"]))
+        value = draw(st.sampled_from(known if draw(st.integers(0, 7)) else FUZZ_VALUES))
+        argv += [value] if flag is None else [flag] if action.nargs == 0 else [flag, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_end_in_an_exit_code_and_a_record(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, err)
+    if code == 0:
+        assert err == ""
+    if "--json" not in argv:
+        assert code == 0 or err.startswith(("error: ", "usage: "))
+    elif code == 2:
+        assert out == ""
+        rec = strict_json(err)
+        assert rec["exit"] == 2 and rec["error"]
+    else:
+        for line in out.splitlines():
+            strict_json(line)

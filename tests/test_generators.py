@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from abctensor import build, canonical_code, classify, degrees
+from abctensor import InvalidHypergraphError, build, canonical_code, classify, degrees
 from abctensor import generators as gen
+from abctensor import hypergraph
 from abctensor.generators import BudgetExceededError
 from abctensor.tensor import omega
 
@@ -263,3 +264,29 @@ def test_random_hypertree_matches_the_attach_loop():
                 ref = gen.attach_pendant_edge(ref, rng.randrange(ref.n))
             G = gen.random_hypertree(m, k, seed)
             assert G.n == ref.n and np.array_equal(G.edge_array, ref.edge_array)
+
+
+CAPPED = {
+    "hyperstar": (gen.hyperstar, (4, 3)),
+    "hyperpath": (gen.hyperpath, (4, 3)),
+    "hypercycle": (gen.hypercycle, (4, 3)),
+    "cycle_graph": (gen.cycle_graph, (5,)),
+    "power": (gen.power, (gen.hyperstar(3, 2), 4)),
+    "double_star": (gen.double_star, (6, 2)),
+    "s_composition": (gen.s_composition, (5, 3, (2, 1, 1))),
+    "unicyclic_family": (gen.unicyclic_family, (6, 3, 3, (1, 1, 1))),
+    "unicyclic_graph": (gen.unicyclic_graph, (7, 4)),
+    "t_family-3": (gen.t_family, (6, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(CAPPED))
+def test_vertex_cap_is_checked_before_any_edge_is_listed(monkeypatch, name):
+    builder, args = CAPPED[name]
+    n = builder(*args).n
+    monkeypatch.setattr(hypergraph, "MAX_VERTICES", n)
+    assert builder(*args).n == n
+    monkeypatch.setattr(hypergraph, "MAX_VERTICES", n - 1)
+    monkeypatch.setattr(gen, "build", lambda *a: pytest.fail("build ran past the vertex cap"))
+    with pytest.raises(InvalidHypergraphError, match=f"n={n} exceeds the cap {n - 1}"):
+        builder(*args)

@@ -286,6 +286,17 @@ def test_uhg_comments_and_blanks():
     assert parse_uhg(text) == build(2, 3, [[0, 1], [1, 2]])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_uhg_round_trip_with_comments_and_blank_lines(data):
+    G = data.draw(small_hypergraphs())
+    filler = st.lists(st.sampled_from(["", "   ", "# a comment", "  # indented", "#"]), max_size=2)
+    lines = []
+    for line in format_uhg(G).splitlines() + [""]:
+        lines += data.draw(filler) + [line]
+    assert parse_uhg("\n".join(lines)) == G
+
+
 def test_uhg_errors_carry_line_numbers():
     with pytest.raises(UhgParseError) as exc:
         parse_uhg("uhg 2 3\n0 1\n")

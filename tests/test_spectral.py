@@ -64,6 +64,13 @@ def test_nonconvergence_carries_bracket():
     assert exc.value.iters == 3
 
 
+@pytest.mark.parametrize("field", ["tol", "shift"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_options_reject_a_tol_or_shift_that_is_not_positive_and_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        SolveOptions(**{field: value})
+
+
 def test_bracket_and_vector_contract():
     opts = SolveOptions(tol=1e-10)
     for G in (gen.hyperstar(6, 3), gen.hyperpath(5, 4), gen.unicyclic_family(5, 3, 2, (3, 0, 0))):

@@ -185,26 +185,6 @@ def test_apply_matches_dense_oracle():
         assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_pure_and_compiled_kernels_agree_bitwise():
-    from abctensor import _kernels_py
-
-    try:
-        from abctensor import _kernels as kc
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(2)
-    for m, k in [(6, 3), (5, 4), (10, 2), (7, 5)]:
-        G = gen.random_hypertree(m, k, seed=m + k)
-        op = TensorOperator.from_weighting(G, Weighting.ABC)
-        for _ in range(10):
-            x = rng.uniform(0.05, 2.0, size=G.n)
-            a = np.zeros(G.n)
-            b = np.zeros(G.n)
-            kc.contract(op._edge_idx, op.weights, x, a)
-            _kernels_py.contract(op._edge_idx, op.weights, x, b)
-            assert np.array_equal(a, b)
-
-
 def test_k_unit():
     x = k_unit(np.array([1.0, 1.0]), 3)
     assert np.sum(x**3) == pytest.approx(1.0, abs=1e-12)
