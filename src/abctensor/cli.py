@@ -236,11 +236,10 @@ def cmd_closed_form(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = ver.default_suite(m=args.m, k=args.k, g=args.g)
-    if args.target != "all":
-        results = [r for r in results if r.name.startswith(args.target)]
-        if not results:
-            raise ValueError(f"no check matches {args.target!r}")
+    prefix = "" if args.target == "all" else args.target
+    results = ver.default_suite(m=args.m, k=args.k, g=args.g, prefix=prefix)
+    if prefix and not results:
+        raise ValueError(f"no check matches {args.target!r}")
     violated = [r for r in results if not r.ok]
     if args.json:
         for r in results:

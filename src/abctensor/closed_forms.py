@@ -12,6 +12,7 @@ the weighting and the parameter domain; every caller reads it.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
@@ -282,6 +283,13 @@ def rho_abc_complete_bound(n: int, k: int) -> float:
 # Registry: one record per closed form, keyed by its command-line name.
 
 
+def _padded(k: int, *head: int):
+    """The composition ``head`` then zeros, k entries in all, as a lazy
+    iterable: the generators check the vertex count before they read it,
+    so a huge k ends in that check, not in a k-long tuple."""
+    return itertools.chain(head, itertools.repeat(0, k - len(head)))
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     """A closed-form radius with the hypergraph that attains it.
@@ -317,18 +325,18 @@ CLOSED_FORMS: dict[str, ClosedForm] = {
                                     lambda m, k: gen.power(gen.double_star(m, 2), k),
                                     "m >= 5 and k >= 2", Weighting.ADJACENCY),
     "u2": ClosedForm(rho_abc_u2,
-                     lambda m, k: gen.unicyclic_family(m, k, 2, (m - 2,) + (0,) * (k - 1)),
+                     lambda m, k: gen.unicyclic_family(m, k, 2, _padded(k, m - 2)),
                      "m >= 2 and k >= 3"),
     "u3": ClosedForm(rho_abc_u3,
-                     lambda m, k: gen.unicyclic_family(m, k, 3, (m - 3,) + (0,) * (k - 1)),
+                     lambda m, k: gen.unicyclic_family(m, k, 3, _padded(k, m - 3)),
                      "m >= 3 and k >= 3"),
     "s311": ClosedForm(rho_abc_s311,
-                       lambda m, k: gen.s_composition(m, k, (m - 3, 1, 1) + (0,) * (k - 3)),
+                       lambda m, k: gen.s_composition(m, k, _padded(k, m - 3, 1, 1)),
                        "m >= 4 and k >= 3"),
     "t-family": ClosedForm(rho_abc_t, gen.t_family,
                            "idx in (1, 2, 3, 4) and m >= (6 if idx == 1 else 5)"),
     "s4-1111": ClosedForm(rho_abc_s4_1111,
-                          lambda m, k: gen.s_composition(m, k, (m - 4, 1, 1, 1) + (0,) * (k - 4)),
+                          lambda m, k: gen.s_composition(m, k, _padded(k, m - 4, 1, 1, 1)),
                           "m >= 5 and k >= 4"),
     "hyperpath": ClosedForm(rho_abc_hyperpath, gen.hyperpath, "m >= 2 and k >= 2"),
     "complete-bound": ClosedForm(rho_abc_complete_bound, gen.complete, "n > k >= 2"),

@@ -39,6 +39,17 @@ def attach_pendant_edge(G: UniformHypergraph, v: int) -> UniformHypergraph:
     return build(G.k, G.n + G.k - 1, list(G.edges) + [new_edge])
 
 
+def _attach_pendant_edges(G: UniformHypergraph, anchors: Sequence[int]) -> UniformHypergraph:
+    """``attach_pendant_edge`` at each vertex of ``anchors`` in turn, with
+    the same fresh ids, built once instead of once per edge."""
+    k, n = G.k, G.n
+    edges = list(G.edges)
+    for v in anchors:
+        edges.append((v,) + tuple(range(n, n + k - 1)))
+        n += k - 1
+    return build(k, n, edges)
+
+
 def hyperstar(m: int, k: int) -> UniformHypergraph:
     """S_{m,k}: m edges through a common center, n = m(k-1)+1."""
     if m < 1 or k < 2:
@@ -121,7 +132,9 @@ def double_star(m: int, a: int) -> UniformHypergraph:
 
 
 def s_composition(m: int, k: int, a: Sequence[int]) -> UniformHypergraph:
-    """S_{m,k;a_1..a_k}: a_i pendant edges at vertex i of a base edge."""
+    """S_{m,k;a_1..a_k}: a_i pendant edges at vertex i of a base edge.
+    ``a`` may be any iterable; it is read after the vertex count check."""
+    check_vertex_count(k + (m - 1) * (k - 1))
     a = tuple(a)
     if len(a) != k:
         raise ValueError(f"composition must have k={k} entries, got {len(a)}")
@@ -129,33 +142,26 @@ def s_composition(m: int, k: int, a: Sequence[int]) -> UniformHypergraph:
         raise ValueError("composition entries must be >= 0")
     if sum(a) != m - 1:
         raise ValueError(f"composition must sum to m-1={m - 1}, got {sum(a)}")
-    check_vertex_count(k + (m - 1) * (k - 1))
-    G = build(k, k, [tuple(range(k))])
-    for v in range(k):
-        for _ in range(a[v]):
-            G = attach_pendant_edge(G, v)
-    return G
+    base = build(k, k, [tuple(range(k))])
+    return _attach_pendant_edges(base, [v for v in range(k) for _ in range(a[v])])
 
 
 def unicyclic_family(m: int, k: int, g: int, a: Sequence[int]) -> UniformHypergraph:
     """U_{m,k,g}(a_1..a_k): hypercycle of length g with a_i pendant edges
-    at vertex i of its first edge (vertices 1 and k are the cycle joints)."""
+    at vertex i of its first edge (vertices 1 and k are the cycle joints).
+    ``a`` may be any iterable; it is read after the vertex count check."""
     if g not in (2, 3):
         raise ValueError("g must be 2 or 3")
     if k < 3:
         raise ValueError("k must be >= 3")
+    check_vertex_count(m * (k - 1))
     a = tuple(a)
     if len(a) != k or any(x < 0 for x in a):
         raise ValueError(f"composition must have k={k} nonnegative entries")
     if sum(a) != m - g:
         raise ValueError(f"composition must sum to m-g={m - g}, got {sum(a)}")
-    check_vertex_count(m * (k - 1))
-    G = hypercycle(g, k)
     # Edge 0 of C_{g,k} is (0, 1, ..., k-1) with joints 0 and k-1.
-    for v in range(k):
-        for _ in range(a[v]):
-            G = attach_pendant_edge(G, v)
-    return G
+    return _attach_pendant_edges(hypercycle(g, k), [v for v in range(k) for _ in range(a[v])])
 
 
 def unicyclic_graph(m: int, g: int) -> UniformHypergraph:
@@ -164,10 +170,7 @@ def unicyclic_graph(m: int, g: int) -> UniformHypergraph:
     if g < 3 or m < g:
         raise ValueError("unicyclic_graph needs g >= 3 and m >= g")
     check_vertex_count(m)
-    G = cycle_graph(g)
-    for _ in range(m - g):
-        G = attach_pendant_edge(G, 0)
-    return G
+    return _attach_pendant_edges(cycle_graph(g), [0] * (m - g))
 
 
 def t_family(m: int, idx: int) -> UniformHypergraph:
@@ -225,15 +228,9 @@ def example_h(idx: int) -> UniformHypergraph:
     each of its 9 pendant vertices (12 edges, 4-uniform).
     """
     if idx == 1:
-        G = hyperstar(2, 3)
-        for v in range(1, 5):
-            G = attach_pendant_edge(G, v)
-        return G
+        return _attach_pendant_edges(hyperstar(2, 3), range(1, 5))
     if idx == 2:
-        G = hyperstar(3, 4)
-        for v in range(1, 10):
-            G = attach_pendant_edge(G, v)
-        return G
+        return _attach_pendant_edges(hyperstar(3, 4), range(1, 10))
     raise ValueError("idx must be 1 or 2")
 
 
@@ -272,14 +269,10 @@ def enumerate_hypertrees(
 def random_hypertree(m: int, k: int, seed: int) -> UniformHypergraph:
     """Seeded random hypertree built by uniform pendant-edge attachment:
     each new edge joins a uniformly drawn existing vertex to k-1 fresh
-    ones.  The edge list is collected first and built once."""
+    ones.  The anchors are drawn first and the edges built once."""
     rng = random.Random(seed)
-    edges = [tuple(range(k))]
-    n = k
-    for _ in range(m - 1):
-        edges.append((rng.randrange(n),) + tuple(range(n, n + k - 1)))
-        n += k - 1
-    return build(k, n, edges)
+    anchors = [rng.randrange(k + i * (k - 1)) for i in range(m - 1)]
+    return _attach_pendant_edges(build(k, k, [tuple(range(k))]), anchors)
 
 
 def random_connected_hypergraph(m: int, k: int, seed: int) -> UniformHypergraph:

@@ -77,6 +77,11 @@ class UniformHypergraph:
         return tuple(self.degree_array.tolist())
 
     @functools.cached_property
+    def connected(self) -> bool:
+        """``is_connected(self)``, computed once per hypergraph."""
+        return is_connected(self)
+
+    @functools.cached_property
     def vertex_edges(self) -> tuple[tuple[int, ...], ...]:
         """For each vertex, the indices of its incident edges."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
@@ -325,7 +330,7 @@ def classify(G: UniformHypergraph, girth_budget: int = 500_000) -> StructureRepo
     is the k-th power of an ordinary tree iff every edge carries at least
     k-2 vertices of degree one.
     """
-    connected = is_connected(G)
+    connected = G.connected
     m, k, n = G.m, G.k, G.n
     if connected and n == m * (k - 1) + 1:
         kind = "hypertree"

@@ -26,13 +26,14 @@ a computed ratio, so a bracket that narrow is widened by that error.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .hypergraph import UniformHypergraph, is_connected
+from .hypergraph import UniformHypergraph
 from .tensor import TensorOperator, Weighting, k_unit
 
 
@@ -144,7 +145,7 @@ def spectral_radius(
     ConvergenceError carrying the last bracket.
     """
     op = _as_operator(G, weighting)
-    if not is_connected(op.G):
+    if not op.G.connected:
         raise NotConnectedError("hypergraph is not connected")
     n, k = op.n, op.k
     if op.is_zero():
@@ -256,7 +257,7 @@ def _bordered_matrix(op: TensorOperator, x: np.ndarray, xk1: np.ndarray, lam: fl
     by one bincount over the m*k*(k-1) ordered vertex pairs of the edges.
     """
     n, k, E = op.n, op.k, op.G.edge_array
-    i, j = np.nonzero(~np.eye(k, dtype=bool))  # ordered pairs of positions in an edge
+    i, j = _position_pairs(k)
     X = x[E]
     P = op.weights * X.prod(axis=1)
     pairs = P[:, None] / (X[:, i] * X[:, j])
@@ -267,6 +268,15 @@ def _bordered_matrix(op: TensorOperator, x: np.ndarray, xk1: np.ndarray, lam: fl
     B[:n, n] = -xk1
     B[n, :n] = 1.0
     return B
+
+
+@functools.lru_cache(maxsize=8)
+def _position_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k(k-1) ordered pairs (i, j), i != j, of positions in an edge,
+    read-only, built once per k rather than once per Newton step."""
+    i, j = np.nonzero(~np.eye(k, dtype=bool))
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _newton_step(op: TensorOperator, x, xk1, ratios, hi: float, s: float):

@@ -5,6 +5,13 @@ Checks never compare bare floats: spectral estimates enter as certified
 brackets and closed forms as bisection enclosures, so ``violated`` is
 reported only when intervals are disjoint beyond the combined
 tolerances.
+
+Each bound check is a solve and a judgement.  ``check_<name>`` solves
+and judges one graph; ``default_suite`` solves each bound graph once
+per weighting and passes the estimates to all five judgements.  Given
+a name prefix it runs only the groups of checks whose names can start
+with it, and solves only the weightings their judgements take.  No
+estimate is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -18,10 +25,15 @@ import numpy as np
 from . import closed_forms as cf
 from .canon import canonical_code
 from .generators import (
+    BudgetExceededError,
     attach_pendant_edge,
+    complete,
     double_star,
     enumerate_hypertrees,
+    example_h,
     hypercycle,
+    hyperpath,
+    hyperstar,
     power,
     unicyclic_family,
 )
@@ -75,12 +87,15 @@ def _solve(G: UniformHypergraph, w: Weighting, opts: Optional[SolveOptions] = No
 def check_edge_sum_bounds(G: UniformHypergraph, opts=None) -> CheckResult:
     """min_e (sum_{i in e} d_i - k)^(1/k) <= rho_abc <= max_e (...)^(1/k);
     both collapse to equalities iff edge degree sums are constant."""
+    return _edge_sum_bounds(G, _solve(G, Weighting.ABC, opts))
+
+
+def _edge_sum_bounds(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     d = G.degree_list
     k = G.k
     sums = [sum(d[v] for v in e) - k for e in G.edges]
     lo_bound = min(sums) ** (1.0 / k)
     hi_bound = max(sums) ** (1.0 / k)
-    est = _solve(G, Weighting.ABC, opts)
     ival = _interval(est)
     constant = min(sums) == max(sums)
     if ival[1] < lo_bound - SLACK or ival[0] > hi_bound + SLACK:
@@ -101,11 +116,14 @@ def check_edge_sum_bounds(G: UniformHypergraph, opts=None) -> CheckResult:
 
 def check_regular_corollary(G: UniformHypergraph, opts=None) -> CheckResult:
     """(k*delta - k)^(1/k) <= rho_abc <= (k*Delta - k)^(1/k); equalities iff regular."""
+    return _regular_corollary(G, _solve(G, Weighting.ABC, opts))
+
+
+def _regular_corollary(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     dv = degrees(G)
     k = G.k
     lo_bound = (k * dv.min_degree - k) ** (1.0 / k)
     hi_bound = (k * dv.max_degree - k) ** (1.0 / k)
-    est = _solve(G, Weighting.ABC, opts)
     ival = _interval(est)
     regular = dv.min_degree == dv.max_degree
     if ival[1] < lo_bound - SLACK or ival[0] > hi_bound + SLACK:
@@ -127,9 +145,12 @@ def check_regular_corollary(G: UniformHypergraph, opts=None) -> CheckResult:
 def check_mean_bound(G: UniformHypergraph, opts=None) -> CheckResult:
     """rho_abc >= k! * abc_index / n, equality iff the per-vertex sums of
     omega^(1/k) over incident edges are constant."""
+    return _mean_bound(G, _solve(G, Weighting.ABC, opts))
+
+
+def _mean_bound(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     k = G.k
     bound = math.factorial(k) * abc_index(G) / G.n
-    est = _solve(G, Weighting.ABC, opts)
     ival = _interval(est)
     row = [0.0] * G.n
     for ei, e in enumerate(G.edges):
@@ -156,13 +177,17 @@ def check_mean_bound(G: UniformHypergraph, opts=None) -> CheckResult:
 def check_delta_bound(G: UniformHypergraph, opts=None) -> CheckResult:
     """rho_abc <= ((Delta-1)/Delta)^(1/k) * rho_adj (Delta >= 2), equality
     iff every edge has omega = (Delta-1)/Delta."""
-    dv = degrees(G)
-    if dv.max_degree < 2:
+    if degrees(G).max_degree < 2:
         raise ValueError("delta bound requires maximum degree >= 2")
+    return _delta_bound(G, _solve(G, Weighting.ABC, opts), _solve(G, Weighting.ADJACENCY, opts))
+
+
+def _delta_bound(
+    G: UniformHypergraph, abc_est: SpectralEstimate, adj_est: SpectralEstimate
+) -> CheckResult:
+    dv = degrees(G)
     k = G.k
     factor = ((dv.max_degree - 1) / dv.max_degree) ** (1.0 / k)
-    abc_est = _solve(G, Weighting.ABC, opts)
-    adj_est = _solve(G, Weighting.ADJACENCY, opts)
     lhs = _interval(abc_est)
     rhs = (factor * adj_est.lower - SLACK, factor * adj_est.upper + SLACK)
     target = (dv.max_degree - 1) / dv.max_degree
@@ -202,7 +227,10 @@ def check_power_relation(G: UniformHypergraph, k: int, opts=None) -> CheckResult
 
 def check_randic_unit(G: UniformHypergraph, opts=None) -> CheckResult:
     """rho of the randic tensor is 1; x_i = d_i^(1/k) is an exact eigenvector."""
-    est = _solve(G, Weighting.RANDIC, opts)
+    return _randic_unit(G, _solve(G, Weighting.RANDIC, opts))
+
+
+def _randic_unit(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     d = np.array(G.degree_list, dtype=float)
     x = k_unit(d ** (1.0 / G.k), G.k)
     res = residual_of(TensorOperator.from_weighting(G, Weighting.RANDIC), 1.0, x)
@@ -218,6 +246,17 @@ def check_randic_unit(G: UniformHypergraph, opts=None) -> CheckResult:
     )
 
 
+_BOUND_JUDGEMENTS = (
+    ("delta-bound", _delta_bound, (Weighting.ABC, Weighting.ADJACENCY)),
+    ("edge-sum-bounds", _edge_sum_bounds, (Weighting.ABC,)),
+    ("regular-corollary", _regular_corollary, (Weighting.ABC,)),
+    ("mean-bound", _mean_bound, (Weighting.ABC,)),
+    ("randic-unit", _randic_unit, (Weighting.RANDIC,)),
+)
+"""Each bound check's name, its judgement, and the weightings of the
+estimates the judgement takes, in the order it takes them."""
+
+
 # ----------------------------------------------------------------------
 # Extremal scans.
 
@@ -227,8 +266,6 @@ def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
     unique max S_{m,k}; unique second max D_{m,1}^k (m >= 4); unique
     non-power max S_{m,k;m-3,1,1} (k >= 3, m >= 4); maxima match their
     closed forms; consecutive ranks gap > 1e-9."""
-    from .generators import BudgetExceededError
-
     try:
         trees = enumerate_hypertrees(m, k)
     except BudgetExceededError as exc:
@@ -244,71 +281,41 @@ def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
         ]
     solved = [(spectral_radius(T, Weighting.ABC, opts or SolveOptions()), T) for T in trees]
     ranked = sorted(solved, key=lambda p: -p[0].rho)
-    results = []
-    table = "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
-
-    star_code = canonical_code(cf.closed_form_graph("hyperstar", m=m, k=k))
-    top_est, top_tree = ranked[0]
-    top_is_star = canonical_code(top_tree) == star_code
-    closed = cf.closed_form("hyperstar", m=m, k=k)
-    gap_ok = len(ranked) < 2 or top_est.rho - ranked[1][0].rho > 1e-9
-    ok = top_is_star and abs(top_est.rho - closed) <= max(1e-9, 10 * top_est.width) and gap_ok
-    results.append(
-        CheckResult(
-            name=f"hypertree-scan-max[m={m},k={k}]",
-            status=HOLDS if ok else VIOLATED,
-            lhs=top_est.rho,
-            rhs=closed,
-            margin=top_est.rho - (ranked[1][0].rho if len(ranked) > 1 else 0.0),
-            detail=f"classes={len(ranked)}; radii: {table}",
-        )
-    )
-
+    detail = f"classes={len(ranked)}; radii: " + "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
+    results = [_scan_leader("max", ranked, "hyperstar", m, k, detail, 0.0)]
     if m >= 4 and len(ranked) >= 2:
-        second_est, second_tree = ranked[1]
-        ds_code = canonical_code(cf.closed_form_graph("double-star-1", m=m, k=k))
-        second_ok = canonical_code(second_tree) == ds_code
-        closed2 = cf.closed_form("double-star-1", m=m, k=k)
-        gap2 = len(ranked) < 3 or second_est.rho - ranked[2][0].rho > 1e-9
-        ok2 = second_ok and abs(second_est.rho - closed2) <= max(1e-9, 10 * second_est.width) and gap2
-        results.append(
-            CheckResult(
-                name=f"hypertree-scan-second[m={m},k={k}]",
-                status=HOLDS if ok2 else VIOLATED,
-                lhs=second_est.rho,
-                rhs=closed2,
-                margin=(second_est.rho - ranked[2][0].rho) if len(ranked) > 2 else float("inf"),
-                detail="second maximum is the lifted double star",
-            )
-        )
-
+        detail = "second maximum is the lifted double star"
+        results.append(_scan_leader("second", ranked[1:], "double-star-1", m, k, detail, -math.inf))
     if k >= 3 and m >= 4:
-        non_power = [
-            (est, T) for est, T in ranked if classify(T).power_hypertree is False
-        ]
+        non_power = [(est, T) for est, T in ranked if classify(T).power_hypertree is False]
         if non_power:
-            np_est, np_tree = non_power[0]
-            target = canonical_code(cf.closed_form_graph("s311", m=m, k=k))
-            closed3 = cf.closed_form("s311", m=m, k=k)
-            gap3 = len(non_power) < 2 or np_est.rho - non_power[1][0].rho > 1e-9
-            ok3 = (
-                canonical_code(np_tree) == target
-                and abs(np_est.rho - closed3) <= max(1e-9, 10 * np_est.width)
-                and gap3
-            )
-            results.append(
-                CheckResult(
-                    name=f"hypertree-scan-nonpower[m={m},k={k}]",
-                    status=HOLDS if ok3 else VIOLATED,
-                    lhs=np_est.rho,
-                    rhs=closed3,
-                    margin=(np_est.rho - non_power[1][0].rho)
-                    if len(non_power) > 1
-                    else float("inf"),
-                    detail=f"non-power classes={len(non_power)}",
-                )
-            )
+            detail = f"non-power classes={len(non_power)}"
+            results.append(_scan_leader("nonpower", non_power, "s311", m, k, detail, -math.inf))
     return results
+
+
+def _scan_leader(
+    kind: str, ranked, form: str, m: int, k: int, detail: str, floor: float
+) -> CheckResult:
+    """Whether the first of ``ranked``, (estimate, graph) pairs by falling
+    rho, is the graph of the named closed form, matches its value, and
+    leads the next by more than 1e-9; the margin is that lead, or the lead
+    over ``floor`` when it is alone."""
+    (est, G), rest = ranked[0], ranked[1:]
+    closed = cf.closed_form(form, m=m, k=k)
+    ok = (
+        canonical_code(G) == canonical_code(cf.closed_form_graph(form, m=m, k=k))
+        and abs(est.rho - closed) <= max(1e-9, 10 * est.width)
+        and (not rest or est.rho - rest[0][0].rho > 1e-9)
+    )
+    return CheckResult(
+        name=f"hypertree-scan-{kind}[m={m},k={k}]",
+        status=HOLDS if ok else VIOLATED,
+        lhs=est.rho,
+        rhs=closed,
+        margin=est.rho - (rest[0][0].rho if rest else floor),
+        detail=detail,
+    )
 
 
 def _partitions_desc(total: int, slots: int):
@@ -412,8 +419,6 @@ def run_worked_examples(opts=None) -> list[CheckResult]:
     """Rebuild the two pendant-expanded hyperstars, verify the univariate
     reductions of their eigen-equations, the four tabulated values, and
     the strict comparisons against hyperpath radii."""
-    from .generators import example_h
-
     results = []
     opts = opts or SolveOptions()
 
@@ -470,12 +475,41 @@ def run_worked_examples(opts=None) -> list[CheckResult]:
 # Suite driver.
 
 
-def default_suite(
-    m: Optional[int] = None, k: Optional[int] = None, g: Optional[int] = None
-) -> list[CheckResult]:
-    """Run every check over a desk-scale grid (or a single (m, k, g))."""
-    from .generators import complete, hyperpath, hyperstar
+def _wanted(prefix: str, stem: str) -> bool:
+    """Whether a check name that starts with ``stem`` can start with ``prefix``."""
+    return stem.startswith(prefix) or prefix.startswith(stem)
 
+
+def _bound_checks(G: UniformHypergraph, prefix: str) -> list[CheckResult]:
+    """The bound checks on G whose names start with ``prefix``, from one
+    solve per weighting their judgements take."""
+    estimates = {}
+    out = []
+    for name, judge, weightings in _BOUND_JUDGEMENTS:
+        if not name.startswith(prefix) or (name == "delta-bound" and degrees(G).max_degree < 2):
+            continue
+        for w in weightings:
+            if w not in estimates:
+                estimates[w] = _solve(G, w)
+        out.append(judge(G, *(estimates[w] for w in weightings)))
+    return out
+
+
+def default_suite(
+    m: Optional[int] = None,
+    k: Optional[int] = None,
+    g: Optional[int] = None,
+    prefix: str = "",
+) -> list[CheckResult]:
+    """Run every check over a desk-scale grid (or a single (m, k, g)),
+    sorted by name.
+
+    Each bound graph is solved once per weighting its judgements take,
+    and the estimates are shared by the five bound checks; nothing is
+    kept between calls.  Only the groups of checks whose names can start
+    with ``prefix`` are run, and only the checks whose names do are
+    returned, so the result equals the full suite filtered by that prefix.
+    """
     results: list[CheckResult] = []
     ms = [m] if m else list(range(3, 9))
     ks = [k] if k else [2, 3, 4]
@@ -493,23 +527,20 @@ def default_suite(
     bound_graphs.append(complete(4, 3))
     bound_graphs.append(complete(5, 2))
     for G in bound_graphs:
-        if degrees(G).max_degree >= 2:
-            results.append(check_delta_bound(G))
-        results.append(check_edge_sum_bounds(G))
-        results.append(check_regular_corollary(G))
-        results.append(check_mean_bound(G))
-        results.append(check_randic_unit(G))
+        results += _bound_checks(G, prefix)
 
-    for mm in ms:
-        if mm >= 3:
-            results.append(check_power_relation(double_star(mm, 1), max(3, max(ks))))
+    if _wanted(prefix, "power-relation"):
+        for mm in ms:
+            if mm >= 3:
+                results.append(check_power_relation(double_star(mm, 1), max(3, max(ks))))
     for kk in ks:
         if kk >= 3:
             for mm in ms:
-                if mm <= (5 if kk >= 4 else 6):
+                if mm <= (5 if kk >= 4 else 6) and _wanted(prefix, "hypertree-scan-"):
                     results.extend(extremal_scan_hypertrees(mm, kk))
                 for gg in gs:
-                    if gg <= mm <= 7:
+                    if gg <= mm <= 7 and _wanted(prefix, "unicyclic-scan["):
                         results.extend(extremal_scan_unicyclic_family(mm, kk, gg))
-    results.extend(run_worked_examples())
-    return sorted(results, key=lambda r: r.name)
+    if _wanted(prefix, "worked-example-"):
+        results.extend(run_worked_examples())
+    return sorted((r for r in results if r.name.startswith(prefix)), key=lambda r: r.name)

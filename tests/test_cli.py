@@ -180,6 +180,8 @@ def test_floats_serialized_17_digits(capsys):
     (f"gen --family double-star --m {HUGE}", "exceeds the cap"),
     (f"gen --family power --of star --m 3 --k {HUGE}", "exceeds the cap"),
     (f"closed-form s4-1111 --m 3000 --k {HUGE} --check", "does not fit a float"),
+    *((f"closed-form {name} --m 3000 --k {10**18} --check", "exceeds the cap")
+      for name in ("s4-1111", "u2", "u3", "s311")),
     ("rho --family hyperpath --m 2 --k 3 --shift inf", "shift must be positive and finite"),
     ("rho --family hyperpath --m 2 --k 3 --shift nan", "shift must be positive and finite"),
     ("rho --family hyperpath --m 2 --k 3 --tol nan", "tol must be positive and finite"),
@@ -187,7 +189,8 @@ def test_floats_serialized_17_digits(capsys):
     ("gen --family hyperstar --m x", "argument --m: invalid int value: 'x'"),
 ], ids=["family-flag-rho", "family-flag-gen", "overflow", "max-iters-0", "no-convergence", "gen-no-family",
         "huge-hyperstar", "huge-hyperpath", "huge-hypercycle", "huge-double-star", "huge-power",
-        "huge-closed-form-graph", "shift-inf", "shift-nan", "tol-nan", "tol-inf", "usage"])
+        "huge-closed-form-graph", "huge-k-s4-1111", "huge-k-u2", "huge-k-u3", "huge-k-s311",
+        "shift-inf", "shift-nan", "tol-nan", "tol-inf", "usage"])
 def test_probes_end_in_the_error_record(capsys, argv, needle):
     code, out, err = run(capsys, *argv.split(), "--json")
     assert code == 2 and out == ""
@@ -295,3 +298,23 @@ def test_fuzzed_command_lines_end_in_an_exit_code_and_a_record(argv):
     else:
         for line in out.splitlines():
             strict_json(line)
+
+
+def test_verify_prefix_runs_only_the_matching_checks(capsys, monkeypatch):
+    from abctensor import verify as ver
+    from abctensor.spectral import SolveOptions
+    from abctensor.tensor import Weighting
+
+    _, full, _ = run(capsys, "verify", "all", "--json")
+    want = [line for line in full.splitlines() if '"name": "randic-unit"' in line]
+    weightings = []
+    real = ver.spectral_radius
+
+    def recording(G, w=None, opts=SolveOptions()):
+        weightings.append(w)
+        return real(G, w, opts)
+
+    monkeypatch.setattr(ver, "spectral_radius", recording)
+    code, out, _ = run(capsys, "verify", "randic-unit", "--json")
+    assert code == 0 and want and out.splitlines() == want
+    assert len(weightings) == len(want) and set(weightings) == {Weighting.RANDIC}

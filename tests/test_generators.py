@@ -266,6 +266,48 @@ def test_random_hypertree_matches_the_attach_loop():
             assert G.n == ref.n and np.array_equal(G.edge_array, ref.edge_array)
 
 
+def _attach_loop(G, anchors):
+    for v in anchors:
+        G = gen.attach_pendant_edge(G, v)
+    return G
+
+
+def _compositions(total, parts):
+    """Every composition of total into the given number of nonnegative parts."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _same(G, H):
+    return G.k == H.k and G.n == H.n and np.array_equal(G.edge_array, H.edge_array)
+
+
+def test_pendant_families_match_the_attach_loop():
+    for k in (2, 3, 4, 5):
+        edge = build(k, k, [tuple(range(k))])
+        for m in range(1, 8):
+            for a in _compositions(m - 1, k):
+                anchors = [v for v in range(k) for _ in range(a[v])]
+                assert _same(gen.s_composition(m, k, a), _attach_loop(edge, anchors))
+            for g in (2, 3):
+                if k < 3 or m < g:
+                    continue
+                for a in _compositions(m - g, k):
+                    anchors = [v for v in range(k) for _ in range(a[v])]
+                    ref = _attach_loop(gen.hypercycle(g, k), anchors)
+                    assert _same(gen.unicyclic_family(m, k, g, a), ref)
+    for g in (3, 4, 5):
+        for m in range(g, 10):
+            ref = _attach_loop(gen.cycle_graph(g), [0] * (m - g))
+            assert _same(gen.unicyclic_graph(m, g), ref)
+    assert _same(gen.example_h(1), _attach_loop(gen.hyperstar(2, 3), range(1, 5)))
+    assert _same(gen.example_h(2), _attach_loop(gen.hyperstar(3, 4), range(1, 10)))
+
+
 CAPPED = {
     "hyperstar": (gen.hyperstar, (4, 3)),
     "hyperpath": (gen.hyperpath, (4, 3)),

@@ -409,3 +409,21 @@ def test_is_connected_when_the_hub_has_the_largest_id():
 def test_classify_hyperpath_with_1e5_edges():
     rep = classify(gen.hyperpath(10**5, 3))
     assert rep.kind == "hypertree" and rep.linear is True and rep.connected
+
+
+def test_connectivity_is_computed_once_per_hypergraph(monkeypatch):
+    from abctensor import hypergraph
+    from abctensor.spectral import spectral_radius
+    from abctensor.tensor import Weighting
+
+    calls = []
+    real = hypergraph.is_connected
+    monkeypatch.setattr(hypergraph, "is_connected", lambda G: calls.append(G) or real(G))
+    G = gen.hyperpath(5, 3)
+    for w in Weighting:
+        spectral_radius(G, w)
+    assert classify(G).connected and G.connected
+    assert len(calls) == 1
+    H = build(3, 6, [[0, 1, 2], [3, 4, 5]])
+    assert not classify(H).connected and not H.connected
+    assert len(calls) == 2

@@ -23,7 +23,7 @@ from abctensor.spectral import (
 )
 from abctensor.tensor import TensorOperator, Weighting, form, k_unit
 
-from helpers import relabel
+from helpers import dense_apply, relabel
 
 ABC = Weighting.ABC
 ADJ = Weighting.ADJACENCY
@@ -279,3 +279,43 @@ def test_power_brackets_are_not_widened(monkeypatch):
     monkeypatch.setattr(spectral, "_ratio_error", lambda op, ratio: 0.0)
     raw = spectral_radius(gen.hyperstar(50, 3), ABC)
     assert (est.lower, est.upper, est.rho) == (raw.lower, raw.upper, raw.rho)
+
+
+@st.composite
+def small_trees_and_unicyclics(draw):
+    """A hypertree or a U_{m,3,g}(a) with n <= 8 and k <= 3."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 3))
+        m = draw(st.integers(1, 7 // (k - 1)))  # n = m(k-1) + 1
+        return gen.random_hypertree(m, k, draw(st.integers(0, 10**6)))
+    g = draw(st.sampled_from((2, 3)))
+    parts = st.lists(st.integers(0, 4 - g), min_size=3, max_size=3)
+    a = draw(parts.filter(lambda a: sum(a) <= 4 - g))
+    return gen.unicyclic_family(g + sum(a), 3, g, a)  # n = 2m
+
+
+def _gamma(j: int) -> float:
+    u = np.finfo(np.float64).eps / 2.0
+    return j * u / (1.0 - j * u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_trees_and_unicyclics(), st.sampled_from(list(Weighting)))
+def test_dense_collatz_ratios_at_the_eigenvector_lie_in_the_bracket(G, w):
+    assert G.n <= 8 and G.k <= 3
+    est = spectral_radius(G, w)
+    x = est.eigenvector
+    ratios = dense_apply(G, w, x) / x ** (G.k - 1)
+    pad = _gamma(G.n) * max(1.0, est.upper)
+    assert est.lower - pad <= ratios.min() <= ratios.max() <= est.upper + pad
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_trees_and_unicyclics(), st.integers(1, 2))
+def test_power_lift_brackets_overlap(G, extra):
+    assert G.n <= 8 and G.k <= 3
+    r, k = G.k, G.k + extra
+    base = spectral_radius(G, ABC)
+    lifted = spectral_radius(gen.power(G, k), ABC)
+    lo, hi = max(base.lower, 0.0) ** (r / k), base.upper ** (r / k)
+    assert lo <= lifted.upper and lifted.lower <= hi

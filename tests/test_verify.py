@@ -193,3 +193,41 @@ def test_interval_comparison_never_bare_floats():
 
     r = ver.check_edge_sum_bounds(gen.hyperstar(4, 3), SolveOptions(tol=1e-3))
     assert r.ok
+
+
+def _count_solves(monkeypatch) -> list:
+    """Patch the suite's solver to record the weighting of every solve."""
+    from abctensor.spectral import SolveOptions
+
+    weightings = []
+    real = ver.spectral_radius
+
+    def recording(G, w=None, opts=SolveOptions()):
+        weightings.append(w)
+        return real(G, w, opts)
+
+    monkeypatch.setattr(ver, "spectral_radius", recording)
+    return weightings
+
+
+def test_two_suite_calls_make_the_same_solves(monkeypatch):
+    # Nothing is kept between calls: each one solves every graph again,
+    # and each bound graph once per weighting (60 graphs, 3 weightings,
+    # adjacency only where Delta >= 2).
+    weightings = _count_solves(monkeypatch)
+    first = ver.default_suite()
+    once = len(weightings)
+    second = ver.default_suite()
+    assert once == len(weightings) - once == 376
+    assert len(first) == len(second) == 345
+
+
+def test_suite_bound_checks_equal_the_public_checks():
+    graphs = [gen.hyperstar(4, 3), gen.hyperpath(4, 3), gen.hypercycle(4, 3),
+              gen.s_composition(4, 3, (1, 1, 1)), gen.complete(4, 3), gen.complete(5, 2)]
+    for name, check in (("delta-bound", ver.check_delta_bound),
+                        ("edge-sum-bounds", ver.check_edge_sum_bounds),
+                        ("regular-corollary", ver.check_regular_corollary),
+                        ("mean-bound", ver.check_mean_bound),
+                        ("randic-unit", ver.check_randic_unit)):
+        assert ver.default_suite(m=4, k=3, prefix=name) == [check(G) for G in graphs]
