@@ -11,15 +11,15 @@ ranked by the sorted ranks of its children (Aho, Hopcroft and Ullman,
 other hypergraph goes to iterated color refinement plus
 individualization search, with discovered automorphisms pruning
 equivalent branches (McKay and Piperno, 2014).  Only that search has an
-exponential worst case; at the desk scales this package targets (n
-below the configured cap) it is fast.
+exponential worst case; at the desk scales this package targets (n at
+most ``SIZE_CAP``) it is fast.
 """
 
 from __future__ import annotations
 
 from .hypergraph import SizeCapExceededError, UniformHypergraph
 
-DEFAULT_SIZE_CAP = 64
+SIZE_CAP = 64  # at most 255, the ids that fit _encode's one byte per vertex
 
 
 def _refine(G: UniformHypergraph, colors: list[int]) -> list[int]:
@@ -122,11 +122,9 @@ def _tree_perm(G: UniformHypergraph) -> list[int] | None:
     return perm
 
 
-def canonical_code(G: UniformHypergraph, size_cap: int = DEFAULT_SIZE_CAP) -> bytes:
-    if G.n > min(size_cap, 255):
-        raise SizeCapExceededError(
-            f"canonical labeling capped at {min(size_cap, 255)} vertices, got {G.n}"
-        )
+def canonical_code(G: UniformHypergraph) -> bytes:
+    if G.n > SIZE_CAP:
+        raise SizeCapExceededError(f"canonical labeling capped at {SIZE_CAP} vertices, got {G.n}")
     perm = _tree_perm(G)
     return _search_code(G) if perm is None else _encode(G, perm)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -28,9 +29,10 @@ CLOSED_FORM_FLAGS = ("m", "k", "n", "idx")
 """Parameter flags of ``closed-form``, in the order records print them."""
 
 
-def _f(x: float) -> float:
-    """Round-trip float through its 17-significant-digit form."""
-    return float(format(x, ".17g"))
+def _f(x: float) -> float | None:
+    """Round-trip float through its 17-significant-digit form; None (JSON
+    null) for infinities and NaN, which strict JSON cannot carry."""
+    return float(format(x, ".17g")) if math.isfinite(x) else None
 
 
 def _parse_comp(text: str) -> tuple[int, ...]:
@@ -159,7 +161,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def _emit(record: dict, as_json: bool):
     if as_json:
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(record, sort_keys=True, allow_nan=False))
     else:
         for key, val in record.items():
             print(f"{key}: {val}")
@@ -168,7 +170,8 @@ def _emit(record: dict, as_json: bool):
 def cmd_gen(args) -> int:
     G = load_graph(args)
     if args.json:
-        print(json.dumps({"k": G.k, "n": G.n, "m": G.m, "edges": [list(e) for e in G.edges]}))
+        edges = [list(e) for e in G.edges]
+        print(json.dumps({"k": G.k, "n": G.n, "m": G.m, "edges": edges}, allow_nan=False))
     else:
         sys.stdout.write(format_uhg(G))
     return 0
@@ -180,7 +183,6 @@ def cmd_rho(args) -> int:
         tol=args.tol,
         max_iters=args.max_iters,
         shift=args.shift,
-        initial="seeded-random" if args.seed is not None else "uniform",
         seed=args.seed,
     )
     est = spectral_radius(G, WEIGHTINGS[args.weighting], opts)
@@ -243,10 +245,8 @@ def cmd_verify(args) -> int:
     violated = [r for r in results if not r.ok]
     if args.json:
         for r in results:
-            print(json.dumps({
-                "name": r.name, "status": r.status, "lhs": _f(r.lhs),
-                "rhs": _f(r.rhs), "margin": _f(r.margin), "detail": r.detail,
-            }, sort_keys=True))
+            _emit({"name": r.name, "status": r.status, "lhs": _f(r.lhs),
+                   "rhs": _f(r.rhs), "margin": _f(r.margin), "detail": r.detail}, True)
     else:
         for r in results:
             print(f"{r.status:18s} {r.name}  lhs={r.lhs:.12g} rhs={r.rhs:.12g}")
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
             rec = {"error": str(exc), "exit": 2}
             if isinstance(exc, ConvergenceError):
                 rec.update(lower=_f(exc.lower), upper=_f(exc.upper), iters=exc.iters)
-            sys.stderr.write(json.dumps(rec) + "\n")
+            sys.stderr.write(json.dumps(rec, allow_nan=False) + "\n")
         elif isinstance(exc, UsageError):
             exc.parser.print_usage(sys.stderr)
             sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")

@@ -1,9 +1,10 @@
 """Closed-form spectral radii for the extremal families.
 
 Each value is either an explicit radical or the largest real root of a
-low-degree polynomial with a known bracket, extracted by bisection so
-the result carries a certified enclosure.  Coefficients are rational
-expressions in the edge count m, evaluated on demand.
+low-degree polynomial with a known bracket, extracted by bisection to a
+relative width of 1e-12.  Either way the value is a bare float with no
+error bound; callers compare it with a tolerance.  Coefficients are
+rational expressions in the edge count m, evaluated on demand.
 
 ``CLOSED_FORMS`` pairs each value with the hypergraph that attains it,
 the weighting and the parameter domain; every caller reads it.
@@ -43,8 +44,8 @@ class RootBracketError(ValueError):
     """No sign change found for the largest real root."""
 
 
-def largest_real_root(p: PolynomialSpec, tol: float = 1e-12) -> float:
-    """Largest real root of p by bisection.
+def largest_real_root(p: PolynomialSpec) -> float:
+    """Largest real root of p by bisection, to a relative width of 1e-12.
 
     The upper end is pushed out until p > 0 there (positive leading
     coefficient); then probes descending from the top on a refining grid
@@ -87,7 +88,7 @@ def largest_real_root(p: PolynomialSpec, tol: float = 1e-12) -> float:
         raise RootBracketError(f"{p.name}: no sign change found in {p.bracket}")
 
     a, b = neg, hi
-    while b - a > tol * max(1.0, abs(b)):
+    while b - a > 1e-12 * max(1.0, abs(b)):
         mid = 0.5 * (a + b)
         if p(mid) <= 0.0:
             a = mid

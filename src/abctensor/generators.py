@@ -1,4 +1,5 @@
-"""Constructors for the named hypergraph families and hypertree enumeration.
+"""Constructors for the named hypergraph families, and enumeration of
+small hypertrees and unicyclic hypergraphs.
 
 Families follow the usual naming:
 
@@ -91,11 +92,11 @@ def cycle_graph(g: int) -> UniformHypergraph:
     return build(2, g, [(i, (i + 1) % g) for i in range(g)])
 
 
-def complete(n: int, k: int, max_edges: int = 200_000) -> UniformHypergraph:
-    """K_n^(k): all k-subsets of [n] as edges."""
+def complete(n: int, k: int) -> UniformHypergraph:
+    """K_n^(k): all k-subsets of [n] as edges, at most 200,000 of them."""
     if not (2 <= k < n):
         raise ValueError("complete needs n > k >= 2")
-    if math.comb(n, k) > max_edges:
+    if math.comb(n, k) > 200_000:
         raise BudgetExceededError(f"complete({n},{k}) has {math.comb(n, k)} edges")
     return build(k, n, [tuple(c) for c in combinations(range(n), k)])
 
@@ -234,12 +235,26 @@ def example_h(idx: int) -> UniformHypergraph:
     raise ValueError("idx must be 1 or 2")
 
 
-_ENUM_BUDGET = {2: 8, 3: 6, 4: 5}
+ENUM_BUDGET = {2: 8, 3: 6, 4: 5}
+"""The largest m ``enumerate_hypertrees`` takes for each k; 4 for any other k."""
 
 
-def enumerate_hypertrees(
-    m: int, k: int, max_m: int | None = None
-) -> list[UniformHypergraph]:
+def _grow(base: UniformHypergraph, steps: int) -> dict[bytes, UniformHypergraph]:
+    """One representative per isomorphism class grown from ``base`` by
+    ``steps`` rounds of pendant-edge attachment at every vertex, keyed by
+    canonical code."""
+    reps = {canonical_code(base): base}
+    for _ in range(steps):
+        grown: dict[bytes, UniformHypergraph] = {}
+        for G in reps.values():
+            for v in range(G.n):
+                H = attach_pendant_edge(G, v)
+                grown.setdefault(canonical_code(H), H)
+        reps = grown
+    return reps
+
+
+def enumerate_hypertrees(m: int, k: int) -> list[UniformHypergraph]:
     """One representative per isomorphism class of k-uniform hypertrees
     with m edges, grown by pendant-edge attachment with canonical dedupe.
 
@@ -247,22 +262,24 @@ def enumerate_hypertrees(
     first search from any edge, each subsequent edge meets the previous
     ones in exactly one vertex.
     """
-    cap = max_m if max_m is not None else _ENUM_BUDGET.get(k, 4)
+    cap = ENUM_BUDGET.get(k, 4)
     if m > cap:
         raise BudgetExceededError(
             f"enumerate_hypertrees({m},{k}) exceeds budget m <= {cap}"
         )
     if m < 1:
         raise ValueError("m must be >= 1")
-    base = build(k, k, [tuple(range(k))])
-    reps = {canonical_code(base): base}
-    for _ in range(m - 1):
-        grown: dict[bytes, UniformHypergraph] = {}
-        for G in reps.values():
-            for v in range(G.n):
-                H = attach_pendant_edge(G, v)
-                grown.setdefault(canonical_code(H), H)
-        reps = grown
+    reps = _grow(build(k, k, [tuple(range(k))]), m - 1)
+    return [reps[c] for c in sorted(reps)]
+
+
+def enumerate_small_unicyclic(m: int, k: int) -> list[UniformHypergraph]:
+    """One representative per isomorphism class of unicyclic k-uniform
+    hypergraphs with m edges (m small), grown from the hypercycles of
+    every length g <= m by pendant-edge attachment with canonical dedupe."""
+    reps: dict[bytes, UniformHypergraph] = {}
+    for g in range(2, m + 1):
+        reps.update(_grow(hypercycle(g, k), m - g))
     return [reps[c] for c in sorted(reps)]
 
 

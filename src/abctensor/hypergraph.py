@@ -321,7 +321,7 @@ def girth(G: UniformHypergraph, budget: int = 500_000) -> tuple[Optional[int], s
     return None, "acyclic"
 
 
-def classify(G: UniformHypergraph, girth_budget: int = 500_000) -> StructureReport:
+def classify(G: UniformHypergraph) -> StructureReport:
     """Connectivity, hypertree/unicyclic kind, linearity, girth, power flag.
 
     Kind detection uses the vertex-count identities (connected with
@@ -343,7 +343,7 @@ def classify(G: UniformHypergraph, girth_budget: int = 500_000) -> StructureRepo
     if kind == "hypertree":
         g_val, g_status = None, "acyclic"
     else:
-        g_val, g_status = girth(G, budget=girth_budget)
+        g_val, g_status = girth(G)
 
     power_flag: Optional[bool] = None
     if kind == "hypertree" and k >= 3:

@@ -77,8 +77,7 @@ class SolveOptions:
     tol: float = 1e-10
     max_iters: int = 200_000
     shift: float = 1.0
-    initial: str = "uniform"  # "uniform" | "seeded-random"
-    seed: Optional[int] = None
+    seed: Optional[int] = None  # None: uniform start; else seeded-random
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -87,8 +86,6 @@ class SolveOptions:
             raise ValueError("max_iters must be at least 1")
         if not (math.isfinite(self.shift) and self.shift > 0):
             raise ValueError("shift must be positive and finite")
-        if self.initial not in ("uniform", "seeded-random"):
-            raise ValueError("initial must be 'uniform' or 'seeded-random'")
 
 
 @dataclass(frozen=True)
@@ -107,9 +104,9 @@ class SpectralEstimate:
 
 
 def _initial_vector(n: int, k: int, opts: SolveOptions) -> np.ndarray:
-    if opts.initial == "uniform":
+    if opts.seed is None:
         return np.full(n, n ** (-1.0 / k))
-    rng = np.random.default_rng(0 if opts.seed is None else opts.seed)
+    rng = np.random.default_rng(opts.seed)
     return k_unit(rng.uniform(0.5, 1.5, size=n), k)
 
 

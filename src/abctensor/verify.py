@@ -1,17 +1,17 @@
 """Numeric verification suite: every bound, equality condition, and
-extremal ordering becomes an interval-safe check at desk scale.
+extremal ordering becomes a check at desk scale.
 
-Checks never compare bare floats: spectral estimates enter as certified
-brackets and closed forms as bisection enclosures, so ``violated`` is
-reported only when intervals are disjoint beyond the combined
-tolerances.
+Spectral estimates enter as certified brackets widened by ``SLACK``;
+closed forms are bare floats with no error bound, met within a
+tolerance.  So ``violated`` means a miss beyond those tolerances.
 
 Each bound check is a solve and a judgement.  ``check_<name>`` solves
 and judges one graph; ``default_suite`` solves each bound graph once
 per weighting and passes the estimates to all five judgements.  Given
 a name prefix it runs only the groups of checks whose names can start
 with it, and solves only the weightings their judgements take.  No
-estimate is kept from one call to the next.
+estimate is kept from one call to the next.  Every extremal check is
+one judgement, ``_leader``, of the first of a ranked class.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ import numpy as np
 from . import closed_forms as cf
 from .canon import canonical_code
 from .generators import (
+    ENUM_BUDGET,
     BudgetExceededError,
-    attach_pendant_edge,
     complete,
     double_star,
     enumerate_hypertrees,
+    enumerate_small_unicyclic,
     example_h,
     hypercycle,
     hyperpath,
@@ -92,26 +93,8 @@ def check_edge_sum_bounds(G: UniformHypergraph, opts=None) -> CheckResult:
 
 def _edge_sum_bounds(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     d = G.degree_list
-    k = G.k
-    sums = [sum(d[v] for v in e) - k for e in G.edges]
-    lo_bound = min(sums) ** (1.0 / k)
-    hi_bound = max(sums) ** (1.0 / k)
-    ival = _interval(est)
-    constant = min(sums) == max(sums)
-    if ival[1] < lo_bound - SLACK or ival[0] > hi_bound + SLACK:
-        status = VIOLATED
-    elif constant and ival[0] <= hi_bound + SLACK and ival[1] >= lo_bound - SLACK:
-        status = EQUALITY
-    else:
-        status = HOLDS
-    return CheckResult(
-        name="edge-sum-bounds",
-        status=status,
-        lhs=est.rho,
-        rhs=hi_bound,
-        margin=min(est.rho - lo_bound, hi_bound - est.rho),
-        detail=f"bounds [{lo_bound:.12g}, {hi_bound:.12g}], edge sums constant: {constant}",
-    )
+    sums = [sum(d[v] for v in e) - G.k for e in G.edges]
+    return _between("edge-sum-bounds", "edge sums constant", est, min(sums), max(sums), G.k)
 
 
 def check_regular_corollary(G: UniformHypergraph, opts=None) -> CheckResult:
@@ -120,25 +103,29 @@ def check_regular_corollary(G: UniformHypergraph, opts=None) -> CheckResult:
 
 
 def _regular_corollary(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
-    dv = degrees(G)
-    k = G.k
-    lo_bound = (k * dv.min_degree - k) ** (1.0 / k)
-    hi_bound = (k * dv.max_degree - k) ** (1.0 / k)
+    dv, k = degrees(G), G.k
+    lo, hi = k * dv.min_degree - k, k * dv.max_degree - k
+    return _between("regular-corollary", "regular", est, lo, hi, k)
+
+
+def _between(
+    name: str, label: str, est: SpectralEstimate, lo: int, hi: int, k: int
+) -> CheckResult:
+    """The claim lo^(1/k) <= rho <= hi^(1/k), attained with equality iff
+    lo == hi; ``label`` names that condition in the detail."""
+    lo_bound, hi_bound = lo ** (1.0 / k), hi ** (1.0 / k)
     ival = _interval(est)
-    regular = dv.min_degree == dv.max_degree
     if ival[1] < lo_bound - SLACK or ival[0] > hi_bound + SLACK:
         status = VIOLATED
-    elif regular:
-        status = EQUALITY
     else:
-        status = HOLDS
+        status = EQUALITY if lo == hi else HOLDS
     return CheckResult(
-        name="regular-corollary",
+        name=name,
         status=status,
         lhs=est.rho,
         rhs=hi_bound,
         margin=min(est.rho - lo_bound, hi_bound - est.rho),
-        detail=f"bounds [{lo_bound:.12g}, {hi_bound:.12g}], regular: {regular}",
+        detail=f"bounds [{lo_bound:.12g}, {hi_bound:.12g}], {label}: {lo == hi}",
     )
 
 
@@ -261,6 +248,31 @@ estimates the judgement takes, in the order it takes them."""
 # Extremal scans.
 
 
+def _leader(
+    name: str, ranked, is_target, closed: float, detail: str, floor: float = -math.inf
+) -> CheckResult:
+    """Whether the first of ``ranked``, (estimate, item) pairs by falling
+    rho, passes ``is_target``, lies within max(1e-9, 10 * width) of the
+    closed form ``closed`` and leads the runner-up by more than 1e-9.
+    The margin is that lead, or rho - ``floor`` when it is alone."""
+    (est, top), rest = ranked[0], ranked[1:]
+    lead = est.rho - (rest[0][0].rho if rest else floor)
+    close = abs(est.rho - closed) <= max(1e-9, 10 * est.width)
+    ok = is_target(top) and close and (not rest or lead > 1e-9)
+    return CheckResult(name, HOLDS if ok else VIOLATED, est.rho, closed, lead, detail)
+
+
+def _is_graph_of(form: str, m: int, k: int):
+    """A test of whether a graph is isomorphic to the named closed form's graph."""
+    code = canonical_code(cf.closed_form_graph(form, m=m, k=k))
+    return lambda G: canonical_code(G) == code
+
+
+def _ranked(pairs) -> list:
+    """(estimate, item) pairs by falling rho."""
+    return sorted(pairs, key=lambda p: -p[0].rho)
+
+
 def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
     """Enumerate hypertrees of size m, rank abc radii, and confirm:
     unique max S_{m,k}; unique second max D_{m,1}^k (m >= 4); unique
@@ -269,53 +281,27 @@ def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
     try:
         trees = enumerate_hypertrees(m, k)
     except BudgetExceededError as exc:
-        return [
-            CheckResult(
-                name=f"hypertree-scan-max[m={m},k={k}]",
-                status=INCONCLUSIVE,
-                lhs=float("nan"),
-                rhs=float("nan"),
-                margin=float("nan"),
-                detail=str(exc),
-            )
-        ]
-    solved = [(spectral_radius(T, Weighting.ABC, opts or SolveOptions()), T) for T in trees]
-    ranked = sorted(solved, key=lambda p: -p[0].rho)
-    detail = f"classes={len(ranked)}; radii: " + "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
-    results = [_scan_leader("max", ranked, "hyperstar", m, k, detail, 0.0)]
+        nan = float("nan")
+        name = f"hypertree-scan-max[m={m},k={k}]"
+        return [CheckResult(name, INCONCLUSIVE, nan, nan, nan, str(exc))]
+    ranked = _ranked((_solve(T, Weighting.ABC, opts), T) for T in trees)
+
+    def leader(kind, ranked, form, detail, floor):
+        closed = cf.closed_form(form, m=m, k=k)
+        name = f"hypertree-scan-{kind}[m={m},k={k}]"
+        return _leader(name, ranked, _is_graph_of(form, m, k), closed, detail, floor)
+
+    radii = "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
+    results = [leader("max", ranked, "hyperstar", f"classes={len(ranked)}; radii: {radii}", 0.0)]
     if m >= 4 and len(ranked) >= 2:
         detail = "second maximum is the lifted double star"
-        results.append(_scan_leader("second", ranked[1:], "double-star-1", m, k, detail, -math.inf))
+        results.append(leader("second", ranked[1:], "double-star-1", detail, -math.inf))
     if k >= 3 and m >= 4:
         non_power = [(est, T) for est, T in ranked if classify(T).power_hypertree is False]
         if non_power:
             detail = f"non-power classes={len(non_power)}"
-            results.append(_scan_leader("nonpower", non_power, "s311", m, k, detail, -math.inf))
+            results.append(leader("nonpower", non_power, "s311", detail, -math.inf))
     return results
-
-
-def _scan_leader(
-    kind: str, ranked, form: str, m: int, k: int, detail: str, floor: float
-) -> CheckResult:
-    """Whether the first of ``ranked``, (estimate, graph) pairs by falling
-    rho, is the graph of the named closed form, matches its value, and
-    leads the next by more than 1e-9; the margin is that lead, or the lead
-    over ``floor`` when it is alone."""
-    (est, G), rest = ranked[0], ranked[1:]
-    closed = cf.closed_form(form, m=m, k=k)
-    ok = (
-        canonical_code(G) == canonical_code(cf.closed_form_graph(form, m=m, k=k))
-        and abs(est.rho - closed) <= max(1e-9, 10 * est.width)
-        and (not rest or est.rho - rest[0][0].rho > 1e-9)
-    )
-    return CheckResult(
-        name=f"hypertree-scan-{kind}[m={m},k={k}]",
-        status=HOLDS if ok else VIOLATED,
-        lhs=est.rho,
-        rhs=closed,
-        margin=est.rho - (rest[0][0].rho if rest else floor),
-        detail=detail,
-    )
 
 
 def _partitions_desc(total: int, slots: int):
@@ -346,73 +332,40 @@ def extremal_scan_unicyclic_family(m: int, k: int, g: int, opts=None) -> list[Ch
     """Over all compositions a of m-g, confirm the unique maximizer of
     rho_abc(U_{m,k,g}(a)) is a = (m-g, 0, ..., 0) and its value matches
     the closed form."""
-    entries = []
-    for a in _u_compositions(m - g, k):
-        G = unicyclic_family(m, k, g, a)
-        est = spectral_radius(G, Weighting.ABC, opts or SolveOptions())
-        entries.append((est, a))
-    ranked = sorted(entries, key=lambda p: -p[0].rho)
-    top_est, top_a = ranked[0]
+    comps = _u_compositions(m - g, k)
+    ranked = _ranked((_solve(unicyclic_family(m, k, g, a), Weighting.ABC, opts), a) for a in comps)
     want = (m - g,) + (0,) * (k - 1)
-    closed = cf.closed_form("u2" if g == 2 else "u3", m=m, k=k)
-    gap_ok = len(ranked) < 2 or top_est.rho - ranked[1][0].rho > 1e-9
-    ok = top_a == want and abs(top_est.rho - closed) <= max(1e-8, 10 * top_est.width) and gap_ok
     table = "; ".join(f"{e.rho:.10f}@a={a}" for e, a in ranked)
-    return [
-        CheckResult(
-            name=f"unicyclic-scan[m={m},k={k},g={g}]",
-            status=HOLDS if ok else VIOLATED,
-            lhs=top_est.rho,
-            rhs=closed,
-            margin=(top_est.rho - ranked[1][0].rho) if len(ranked) > 1 else float("inf"),
-            detail=f"members={len(ranked)}; {table}",
-        )
-    ]
-
-
-def enumerate_small_unicyclic(m: int, k: int) -> list[UniformHypergraph]:
-    """All unicyclic k-uniform hypergraphs with m edges (m small), grown
-    from hypercycles by pendant-edge attachment with canonical dedupe."""
-    reps: dict[bytes, UniformHypergraph] = {}
-    for g in range(2, m + 1):
-        G = hypercycle(g, k)
-        layer = {canonical_code(G): G}
-        for _ in range(m - g):
-            nxt: dict[bytes, UniformHypergraph] = {}
-            for H in layer.values():
-                for v in range(H.n):
-                    H2 = attach_pendant_edge(H, v)
-                    nxt.setdefault(canonical_code(H2), H2)
-            layer = nxt
-        reps.update(layer)
-    return [reps[c] for c in sorted(reps)]
+    closed = cf.closed_form("u2" if g == 2 else "u3", m=m, k=k)
+    name = f"unicyclic-scan[m={m},k={k},g={g}]"
+    return [_leader(name, ranked, lambda a: a == want, closed, f"members={len(ranked)}; {table}")]
 
 
 def check_unicyclic_global_max(m: int, k: int, opts=None) -> CheckResult:
     """Scan all unicyclic shapes (small m): the maximum abc radius is
-    attained exactly at U_{m,2}^(k) with value (m-1+2/m)^(1/k)."""
+    attained exactly at U_{m,2}^(k), with value (m-1+2/m)^(1/k), and
+    leads the runner-up by more than 1e-9."""
     shapes = enumerate_small_unicyclic(m, k)
-    target = canonical_code(cf.closed_form_graph("u2", m=m, k=k))
+    ranked = _ranked((_solve(G, Weighting.ABC, opts), G) for G in shapes)
     closed = cf.closed_form("u2", m=m, k=k)
-    best = None
-    for G in shapes:
-        est = spectral_radius(G, Weighting.ABC, opts or SolveOptions())
-        if best is None or est.rho > best[0].rho:
-            best = (est, G)
-    est, G = best
-    ok = canonical_code(G) == target and abs(est.rho - closed) <= max(1e-8, 10 * est.width)
-    return CheckResult(
-        name=f"unicyclic-global-max[m={m},k={k}]",
-        status=HOLDS if ok else VIOLATED,
-        lhs=est.rho,
-        rhs=closed,
-        margin=abs(est.rho - closed),
-        detail=f"shapes={len(shapes)}",
-    )
+    name = f"unicyclic-global-max[m={m},k={k}]"
+    return _leader(name, ranked, _is_graph_of("u2", m, k), closed, f"shapes={len(shapes)}")
 
 
 # ----------------------------------------------------------------------
 # Worked examples.
+
+
+_WORKED_EXAMPLES = (
+    (1, lambda t: t**3 - math.sqrt(3.0 / 4.0) * t**1.5 - 0.5,
+     6, 3, (-0.366025, 0.07559), None),
+    (2, lambda t: t**4 - (5.0 / 8.0) ** (1.0 / 3.0) * t ** (8.0 / 3.0) - 0.5,
+     12, 4, (-0.35499, 0.08894), 3),
+)
+"""Each worked example's index, the univariate reduction f of its
+eigen-equation, the hyperpath P_{m,k} it lies below, the tabulated
+f(1) and f(rho(P_{m,k})), and the other edge size whose reading of
+P_{m,k} is also reported, if any."""
 
 
 def run_worked_examples(opts=None) -> list[CheckResult]:
@@ -420,54 +373,24 @@ def run_worked_examples(opts=None) -> list[CheckResult]:
     reductions of their eigen-equations, the four tabulated values, and
     the strict comparisons against hyperpath radii."""
     results = []
-    opts = opts or SolveOptions()
-
-    h1 = example_h(1)
-    e1 = spectral_radius(h1, Weighting.ABC, opts)
-    f1 = lambda t: t**3 - math.sqrt(3.0 / 4.0) * t**1.5 - 0.5  # noqa: E731
-    path63 = cf.closed_form("hyperpath", m=6, k=3)
-    vals1 = (f1(1.0), f1(path63))
-    expect1 = (-0.366025, 0.07559)
-    red1 = abs(f1(e1.rho)) <= 1e-6
-    num1 = all(abs(v - e) <= 5e-5 for v, e in zip(vals1, expect1))
-    ineq1 = e1.upper + SLACK < path63
-    results.append(
-        CheckResult(
-            name="worked-example-1",
-            status=HOLDS if (red1 and num1 and ineq1) else VIOLATED,
-            lhs=e1.rho,
-            rhs=path63,
-            margin=path63 - e1.rho,
-            detail=f"f(rho)={f1(e1.rho):.2e}; f(1)={vals1[0]:.6f}; f(path)={vals1[1]:.5f}",
-        )
-    )
-
-    h2 = example_h(2)
-    e2 = spectral_radius(h2, Weighting.ABC, opts)
-    f2 = lambda t: t**4 - (5.0 / 8.0) ** (1.0 / 3.0) * t ** (8.0 / 3.0) - 0.5  # noqa: E731
-    path124 = cf.closed_form("hyperpath", m=12, k=4)
-    path123 = cf.closed_form("hyperpath", m=12, k=3)
-    vals2 = (f2(1.0), f2(path124))
-    expect2 = (-0.35499, 0.08894)
-    red2 = abs(f2(e2.rho)) <= 1e-6
-    num2 = all(abs(v - e) <= 5e-5 for v, e in zip(vals2, expect2))
-    ineq2 = e2.upper + SLACK < path124
-    ineq2_alt = e2.upper + SLACK < path123
-    results.append(
-        CheckResult(
-            name="worked-example-2",
-            status=HOLDS if (red2 and num2 and ineq2) else VIOLATED,
-            lhs=e2.rho,
-            rhs=path124,
-            margin=path124 - e2.rho,
-            detail=(
-                f"f(rho)={f2(e2.rho):.2e}; f(1)={vals2[0]:.6f}; f(path)={vals2[1]:.5f}; "
-                f"4-uniform reading holds: {ineq2}; 3-uniform reading holds: {ineq2_alt} "
-                f"(the comparison target is the 4-uniform hyperpath P_12,4; the 3-uniform "
-                f"reading is reported for completeness)"
-            ),
-        )
-    )
+    for idx, f, m, k, expect, alt_k in _WORKED_EXAMPLES:
+        est = _solve(example_h(idx), Weighting.ABC, opts)
+        path = cf.closed_form("hyperpath", m=m, k=k)
+        vals = (f(1.0), f(path))
+        below = est.upper + SLACK < path
+        tabulated = all(abs(v - e) <= 5e-5 for v, e in zip(vals, expect))
+        ok = abs(f(est.rho)) <= 1e-6 and tabulated and below
+        detail = f"f(rho)={f(est.rho):.2e}; f(1)={vals[0]:.6f}; f(path)={vals[1]:.5f}"
+        if alt_k:
+            alt = est.upper + SLACK < cf.closed_form("hyperpath", m=m, k=alt_k)
+            detail += (
+                f"; {k}-uniform reading holds: {below}; {alt_k}-uniform reading holds: {alt} "
+                f"(the comparison target is the {k}-uniform hyperpath P_{m},{k}; "
+                f"the {alt_k}-uniform reading is reported for completeness)"
+            )
+        name = f"worked-example-{idx}"
+        status = HOLDS if ok else VIOLATED
+        results.append(CheckResult(name, status, est.rho, path, path - est.rho, detail))
     return results
 
 
@@ -511,16 +434,16 @@ def default_suite(
     returned, so the result equals the full suite filtered by that prefix.
     """
     results: list[CheckResult] = []
-    ms = [m] if m else list(range(3, 9))
-    ks = [k] if k else [2, 3, 4]
-    gs = [g] if g else [2, 3]
+    ms = [m] if m is not None else list(range(3, 9))
+    ks = [k] if k is not None else [2, 3, 4]
+    gs = [g] if g is not None else [2, 3]
 
     bound_graphs: list[UniformHypergraph] = []
     for mm in ms:
         for kk in ks:
             bound_graphs.append(hyperstar(mm, kk))
             bound_graphs.append(hyperpath(mm, kk))
-            if kk >= 3:
+            if kk >= 3 and mm >= 2:
                 bound_graphs.append(hypercycle(mm, kk))
             if mm >= 4 and kk >= 3:
                 bound_graphs.append(cf.closed_form_graph("s311", m=mm, k=kk))
@@ -536,7 +459,7 @@ def default_suite(
     for kk in ks:
         if kk >= 3:
             for mm in ms:
-                if mm <= (5 if kk >= 4 else 6) and _wanted(prefix, "hypertree-scan-"):
+                if mm <= ENUM_BUDGET.get(kk, 4) and _wanted(prefix, "hypertree-scan-"):
                     results.extend(extremal_scan_hypertrees(mm, kk))
                 for gg in gs:
                     if gg <= mm <= 7 and _wanted(prefix, "unicyclic-scan["):

@@ -127,6 +127,19 @@ def test_verify_subset_exit_zero(capsys):
     assert recs and all(r["status"] != "violated" for r in recs)
 
 
+@pytest.mark.parametrize("grid", [[], ["--m", "1", "--k", "3"]], ids=["paper-grid", "one-edge"])
+def test_verify_json_is_strict_and_matches_the_schema(capsys, grid):
+    schema = json.loads((Path(__file__).parents[1] / "schemas" / "cli-output.schema.json").read_text())
+    validator = jsonschema.Draft202012Validator(schema)
+    code, out, err = run(capsys, "verify", "all", *grid, "--json")
+    assert code == 0 and err == ""
+    recs = [strict_json(line) for line in out.splitlines()]
+    assert recs and all(not list(validator.iter_errors(r)) for r in recs)
+    if not grid:
+        # A leader with no runner-up has an infinite lead.
+        assert sum(r["margin"] is None for r in recs) == 4
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "definitely-not-a-check", "--m", "5", "--k", "3")
     assert code == 2
@@ -187,10 +200,11 @@ def test_floats_serialized_17_digits(capsys):
     ("rho --family hyperpath --m 2 --k 3 --tol nan", "tol must be positive and finite"),
     ("rho --family hyperpath --m 2 --k 3 --tol inf", "tol must be positive and finite"),
     ("gen --family hyperstar --m x", "argument --m: invalid int value: 'x'"),
+    ("verify all --m 0", "hyperstar needs m >= 1"),
 ], ids=["family-flag-rho", "family-flag-gen", "overflow", "max-iters-0", "no-convergence", "gen-no-family",
         "huge-hyperstar", "huge-hyperpath", "huge-hypercycle", "huge-double-star", "huge-power",
         "huge-closed-form-graph", "huge-k-s4-1111", "huge-k-u2", "huge-k-u3", "huge-k-s311",
-        "shift-inf", "shift-nan", "tol-nan", "tol-inf", "usage"])
+        "shift-inf", "shift-nan", "tol-nan", "tol-inf", "usage", "verify-m-0"])
 def test_probes_end_in_the_error_record(capsys, argv, needle):
     code, out, err = run(capsys, *argv.split(), "--json")
     assert code == 2 and out == ""

@@ -237,7 +237,17 @@ def test_enumeration_all_hypertrees():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         gen.enumerate_hypertrees(9, 3)
-    assert len(gen.enumerate_hypertrees(4, 5, max_m=4)) > 0
+    assert len(gen.enumerate_hypertrees(4, 5)) > 0
+    with pytest.raises(BudgetExceededError):
+        gen.enumerate_hypertrees(5, 5)
+
+
+def test_unicyclic_enumeration_counts_and_kinds():
+    for m, count in ((3, 3), (4, 10), (5, 31)):
+        shapes = gen.enumerate_small_unicyclic(m, 3)
+        assert len(shapes) == count
+        assert all(classify(G).kind == "unicyclic" and G.m == m for G in shapes)
+        assert len({canonical_code(G) for G in shapes}) == count
 
 
 def test_enumeration_contains_named_families():

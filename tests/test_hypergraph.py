@@ -218,12 +218,12 @@ def test_canonical_code_single_edge_all_labelings():
 
 def test_canonical_code_size_cap():
     with pytest.raises(SizeCapExceededError):
-        canonical_code(gen.hyperstar(40, 3), size_cap=64)
+        canonical_code(gen.hyperstar(40, 3))
 
 
 def test_tree_codes_give_the_search_classes_on_every_enumerated_hypertree():
     rng = random.Random(3)
-    for k, max_m in sorted(gen._ENUM_BUDGET.items()):
+    for k, max_m in sorted(gen.ENUM_BUDGET.items()):
         for m in range(1, max_m + 1):
             trees = gen.enumerate_hypertrees(m, k)
             graphs = []

@@ -151,7 +151,7 @@ def test_triangle_abc_is_sqrt2():
 def test_seeded_random_initial_agrees():
     G = gen.s_composition(6, 3, (3, 1, 1))
     a = spectral_radius(G, ABC, SolveOptions())
-    b = spectral_radius(G, ABC, SolveOptions(initial="seeded-random", seed=4))
+    b = spectral_radius(G, ABC, SolveOptions(seed=4))
     assert a.rho == pytest.approx(b.rho, abs=1e-9)
 
 
@@ -235,7 +235,7 @@ def test_crossed_bounds_come_back_swapped():
     # best upper one; their mean would miss rho = 0.01 * sqrt(2).
     P3 = build(2, 3, [[0, 1], [1, 2]])
     op = TensorOperator.from_weighting(P3, ADJ).scaled(0.01)
-    opts = SolveOptions(tol=1e-15, shift=17.0, initial="seeded-random", seed=38)
+    opts = SolveOptions(tol=1e-15, shift=17.0, seed=38)
     est = spectral_radius(op, opts=opts)
     assert est.lower <= 0.01 * math.sqrt(2) <= est.upper
     assert est.lower <= est.rho <= est.upper
@@ -268,7 +268,7 @@ def test_bracket_narrower_than_rounding_is_widened():
     # [0.009999999999999343, 0.009999999999999787], which misses rho = 0.01.
     K2 = build(2, 2, [[0, 1]])
     op = TensorOperator.from_weighting(K2, ADJ).scaled(0.01)
-    est = spectral_radius(op, opts=SolveOptions(tol=1e-16, shift=2.9, initial="seeded-random", seed=0))
+    est = spectral_radius(op, opts=SolveOptions(tol=1e-16, shift=2.9, seed=0))
     assert est.lower <= 0.01 <= est.upper
     assert est.upper - est.lower <= 2 * spectral._ratio_error(op, 2.91) + 1e-15
 
