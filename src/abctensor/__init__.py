@@ -10,7 +10,6 @@ from .hypergraph import (
     EdgeCardinalityError,
     InvalidHypergraphError,
     RepeatedVertexError,
-    SizeCapExceededError,
     StructureReport,
     UhgParseError,
     UniformHypergraph,

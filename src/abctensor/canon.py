@@ -1,77 +1,79 @@
-"""Canonical codes for small hypergraphs.
+"""Canonical codes for hypertrees and unicyclic hypergraphs.
 
-Two hypergraphs get equal codes iff they are isomorphic.  A code is the
-relabeled edge list, so it determines its graph; only the relabeling
-differs between the two ways of choosing it.
+Two such hypergraphs get equal codes iff they are isomorphic.  A code is
+the relabeled edge list, so it determines its graph.
 
-Hypertrees (connected, n - 1 = m(k - 1)) take a linear-time path: the
-vertex-edge incidence tree is rooted at its center and every node is
-ranked by the sorted ranks of its children (Aho, Hopcroft and Ullman,
-1974); a depth-first walk in rank order numbers the vertices.  Every
-other hypergraph goes to iterated color refinement plus
-individualization search, with discovered automorphisms pruning
-equivalent branches (McKay and Piperno, 2014).  Only that search has an
-exponential worst case; at the desk scales this package targets (n at
-most ``SIZE_CAP``) it is fast.
+Both kinds take one linear-time path through the vertex-edge incidence
+graph.  Peeling its leaves layer by layer ranks every peeled node by the
+sorted ranks of its children (Aho, Hopcroft and Ullman, 1974).  A
+hypertree peels completely and is rooted at its center.  A unicyclic
+hypergraph peels down to its one cycle, whose nodes are ranked as one
+more layer; the walk round it is the least rotation, in either
+direction, of its (vertex rank, next-edge rank) pairs (Duval, J.
+Algorithms 4, 1983).  A preorder walk in rank order from the root or
+from the cycle nodes numbers the vertices.  Any other hypergraph raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
-from .hypergraph import SizeCapExceededError, UniformHypergraph
+import numpy as np
 
-SIZE_CAP = 64  # at most 255, the ids that fit _encode's one byte per vertex
-
-
-def _refine(G: UniformHypergraph, colors: list[int]) -> list[int]:
-    """Stable partition refinement; colors are canonical ranks."""
-    n = G.n
-    while True:
-        edge_sigs = [tuple(sorted(colors[v] for v in e)) for e in G.edges]
-        keys = [
-            (colors[v], tuple(sorted(edge_sigs[ei] for ei in G.vertex_edges[v])))
-            for v in range(n)
-        ]
-        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [rank[keys[v]] for v in range(n)]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
-
-
-def _cells(colors: list[int]) -> list[list[int]]:
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    return [by_color[c] for c in sorted(by_color)]
+from .hypergraph import UniformHypergraph
 
 
 def _encode(G: UniformHypergraph, perm: list[int]) -> bytes:
-    """Byte code of the relabeled edge list (perm maps old id -> new id)."""
-    edges = sorted(tuple(sorted(perm[v] for v in e)) for e in G.edges)
-    out = bytearray()
-    out.extend(G.k.to_bytes(2, "big"))
-    out.extend(G.n.to_bytes(2, "big"))
-    out.extend(G.m.to_bytes(4, "big"))
-    for e in edges:
-        out.extend(e)  # vertex ids fit one byte under the size cap
-    return bytes(out)
+    """Byte code of the relabeled edge list (perm maps old id -> new id).
+
+    Every number is 4 big-endian bytes, so codes of one (k, n, m) sort
+    in the integer order of their relabeled edge lists."""
+    edges = sorted(sorted(perm[v] for v in e) for e in G.edges)
+    ids = [G.k, G.n, G.m] + [v for e in edges for v in e]
+    return np.array(ids, dtype=">u4").tobytes()
 
 
-def _tree_perm(G: UniformHypergraph) -> list[int] | None:
-    """Canonical relabeling (old id -> new id) of a hypertree, or None
-    when G is not one.
+def _least_rotation(s: list) -> int:
+    """Start of the least rotation of s, from Duval's Lyndon factorization
+    of s + s; linear in len(s)."""
+    n = len(s)
+    s = s + s
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
 
-    Node v < n of the incidence tree is vertex v, node n + i is edge i.
-    Peeling leaves layer by layer takes every node iff the incidence
-    graph is a tree, which with n - 1 = m(k - 1) means G is a hypertree.
-    The last node peeled is the center.  A node's layer is its height
-    with the tree rooted there, and its parent is the one neighbour left
-    when it is peeled.  For k >= 2 every leaf is a vertex node, so the
-    center is unique.
+
+def _least_walk(ring: list[int], rank: list[int]) -> list[int]:
+    """The cycle's nodes (vertex, edge, vertex, ...) from the start and
+    in the direction whose (vertex rank, next-edge rank) pairs are least."""
+    candidates = []
+    for walk in (ring, ring[:1] + ring[:0:-1]):
+        pairs = [(rank[v], rank[e]) for v, e in zip(walk[::2], walk[1::2])]
+        s = _least_rotation(pairs)
+        candidates.append((pairs[s:] + pairs[:s], walk[2 * s:] + walk[:2 * s]))
+    return min(candidates)[1]
+
+
+def _perm(G: UniformHypergraph) -> list[int]:
+    """Canonical relabeling (old id -> new id) of a hypertree or a
+    unicyclic hypergraph.
+
+    Node v < n of the incidence graph is vertex v, node n + i is edge i.
+    A node is peeled when one neighbour is left, and that neighbour is
+    its parent.  Peeling takes every node iff the incidence graph is a
+    forest, which with n - 1 = m(k - 1) means G is a hypertree; the last
+    node peeled is the center, unique because every leaf is a vertex
+    node.  Otherwise G is unicyclic iff n = m(k - 1) and what is left is
+    one cycle: every node left has two neighbours left, and one walk
+    covers them.  A node's layer is its height above the root or the
+    cycle.
     """
     n, m, k = G.n, G.m, G.k
-    if k < 2 or n - 1 != m * (k - 1):
-        return None
     adj = [[n + i for i in ei] for ei in G.vertex_edges] + [list(e) for e in G.edges]
     left = [len(a) for a in adj]
     peeled = [False] * (n + m)
@@ -91,8 +93,18 @@ def _tree_perm(G: UniformHypergraph) -> list[int] | None:
                     if left[u] == 1:
                         nxt.append(u)
         layer = nxt
-    if sum(map(len, layers)) != n + m:
-        return None
+
+    rest = [v for v in range(n + m) if not peeled[v]]
+    ring: list[int] = []
+    if rest and n == m * (k - 1) and all(left[v] == 2 for v in rest):
+        prev, v = -1, rest[0]  # a vertex node: ids below n come first
+        while not ring or v != rest[0]:
+            ring.append(v)
+            prev, v = v, next(u for u in adj[v] if not peeled[u] and u != prev)
+    if len(ring) != len(rest) or (not rest and n - 1 != m * (k - 1)):
+        raise ValueError("canonical codes cover hypertrees and unicyclic hypergraphs only")
+    if ring:
+        layers.append(ring)
 
     # A node's rank is the rank of its children's sorted ranks among the
     # distinct such tuples of its layer; layers take consecutive ranges.
@@ -108,11 +120,12 @@ def _tree_perm(G: UniformHypergraph) -> list[int] | None:
             rank[v] = order[key]
         base += len(order)
 
-    # Children of equal rank have isomorphic subtrees, so the preorder
-    # numbering does not depend on how their ties fall.
+    # Children of equal rank have isomorphic subtrees, and least walks
+    # that tie differ by an automorphism, so the preorder numbering does
+    # not depend on how ties fall.
     perm = [0] * n
     new_id = 0
-    stack = [layers[-1][0]]
+    stack = _least_walk(ring, rank)[::-1] if ring else [layers[-1][0]]
     while stack:
         v = stack.pop()
         if v < n:
@@ -123,70 +136,6 @@ def _tree_perm(G: UniformHypergraph) -> list[int] | None:
 
 
 def canonical_code(G: UniformHypergraph) -> bytes:
-    if G.n > SIZE_CAP:
-        raise SizeCapExceededError(f"canonical labeling capped at {SIZE_CAP} vertices, got {G.n}")
-    perm = _tree_perm(G)
-    return _search_code(G) if perm is None else _encode(G, perm)
-
-
-def _search_code(G: UniformHypergraph) -> bytes:
-    """The least code over the leaves of the individualization search."""
-    n = G.n
-    d = G.degree_list
-    init = sorted(set(d))
-    colors = _refine(G, [init.index(d[v]) for v in range(n)])
-
-    best_code: bytes | None = None
-    best_inv: list[int] = []
-    autos: list[list[int]] = []
-
-    def orbit_reaches(v: int, tried: list[int], fixed: list[int]) -> bool:
-        """True if some discovered automorphism fixing `fixed` pointwise
-        maps v into the already-tried candidates (closure via union-find)."""
-        valid = [g for g in autos if all(g[w] == w for w in fixed)]
-        if not valid:
-            return False
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for g in valid:
-            for a in range(n):
-                ra, rb = find(a), find(g[a])
-                if ra != rb:
-                    parent[ra] = rb
-        rv = find(v)
-        return any(find(u) == rv for u in tried)
-
-    def search(colors: list[int], fixed: list[int]):
-        nonlocal best_code, best_inv
-        cells = _cells(colors)
-        target = next((c for c in cells if len(c) > 1), None)
-        if target is None:
-            perm = [0] * n
-            for new_id, v in enumerate(sorted(range(n), key=lambda v: colors[v])):
-                perm[v] = new_id
-            code = _encode(G, perm)
-            if best_code is None or code < best_code:
-                best_code = code
-                best_inv = [0] * n
-                for v in range(n):
-                    best_inv[perm[v]] = v
-            elif code == best_code:
-                autos.append([best_inv[perm[v]] for v in range(n)])
-            return
-        tried: list[int] = []
-        for v in target:
-            if orbit_reaches(v, tried, fixed):
-                continue
-            tried.append(v)
-            split = [2 * c + (1 if u == v else 0) for u, c in enumerate(colors)]
-            search(_refine(G, split), fixed + [v])
-
-    search(colors, [])
-    assert best_code is not None
-    return best_code
+    """Code of a hypertree or unicyclic hypergraph, equal iff isomorphic;
+    ``ValueError`` for any other hypergraph."""
+    return _encode(G, _perm(G))

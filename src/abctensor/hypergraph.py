@@ -48,10 +48,6 @@ class DuplicateEdgeError(InvalidHypergraphError):
     pass
 
 
-class SizeCapExceededError(ValueError):
-    """Desk-scale cap exceeded (canonical labeling, enumerations)."""
-
-
 @dataclass(frozen=True, eq=False)
 class UniformHypergraph:
     k: int

@@ -433,6 +433,8 @@ def default_suite(
     with ``prefix`` are run, and only the checks whose names do are
     returned, so the result equals the full suite filtered by that prefix.
     """
+    if g not in (None, 2, 3):
+        raise ValueError("g must be 2 or 3")
     results: list[CheckResult] = []
     ms = [m] if m is not None else list(range(3, 9))
     ks = [k] if k is not None else [2, 3, 4]

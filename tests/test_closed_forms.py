@@ -181,6 +181,33 @@ def test_s311_same_base_root_across_k():
     assert cf.rho_abc_s311(6, 4) == pytest.approx(b6 ** (1 / 4))
 
 
+# Each named polynomial with the least m of its closed form's domain.
+NAMED_POLYNOMIALS = (
+    (cf.eta_poly, 4),
+    (cf.linear_unicyclic_poly, 3),
+    (lambda m: cf.t_poly(m, 1), 6),
+    (lambda m: cf.t_poly(m, 2), 5),
+    (lambda m: cf.t_poly(m, 3), 5),
+    (lambda m: cf.t_poly(m, 4), 5),
+    (cf.quartic_s4_poly, 5),
+    (cf.adjacency_s421_poly, 6),
+)
+
+
+def test_largest_real_roots_match_50_digit_roots():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for poly, first_m in NAMED_POLYNOMIALS:
+            for m in range(first_m, 41):
+                p = poly(m)
+                # The roots of the float coefficients, read exactly.
+                roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(p.coeffs)],
+                                         maxsteps=200, extraprec=200)
+                want = max(r.real for r in roots if abs(r.imag) <= 1e-30 * max(1, abs(r)))
+                got = cf.largest_real_root(p)
+                assert abs(got - want) <= 1e-12 * max(1, abs(want)), p.name
+
+
 # ---- strict orderings ----
 
 

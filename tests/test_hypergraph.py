@@ -13,7 +13,6 @@ from abctensor import (
     EdgeCardinalityError,
     InvalidHypergraphError,
     RepeatedVertexError,
-    SizeCapExceededError,
     UhgParseError,
     VertexRangeError,
     build,
@@ -25,7 +24,6 @@ from abctensor import (
     parse_uhg,
 )
 from abctensor import generators as gen
-from abctensor.canon import _search_code, _tree_perm
 from helpers import connected_by_search, relabel, shares_a_pair_by_pairs
 
 
@@ -187,7 +185,7 @@ def test_canonical_code_permutation_invariant():
         gen.hyperstar(3, 3),
         gen.hyperpath(4, 3),
         gen.hypercycle(3, 3),
-        gen.complete(5, 2),
+        gen.cycle_graph(5),
         gen.s_composition(5, 3, (2, 1, 1)),
         gen.unicyclic_family(4, 3, 2, (2, 0, 0)),
         gen.power(gen.double_star(5, 2), 3),
@@ -216,28 +214,39 @@ def test_canonical_code_single_edge_all_labelings():
     assert len(codes) == 1
 
 
-def test_canonical_code_size_cap():
-    with pytest.raises(SizeCapExceededError):
-        canonical_code(gen.hyperstar(40, 3))
+def test_canonical_code_has_no_vertex_cap():
+    G = gen.hypercycle(10**4, 3)
+    perm = list(range(G.n))
+    random.Random(2).shuffle(perm)
+    assert canonical_code(relabel(G, perm)) == canonical_code(G)
+    assert canonical_code(gen.hyperstar(40, 3)) != canonical_code(gen.hyperpath(40, 3))
 
 
-def test_tree_codes_give_the_search_classes_on_every_enumerated_hypertree():
+# Class counts found by a refinement and individualization search, an
+# algorithm independent of the leaf peeling.
+PINNED_CLASS_COUNTS = {
+    ("hypertree", 2): (1, 1, 2, 3, 6, 11, 23, 47),  # m = 1..8
+    ("hypertree", 3): (1, 1, 2, 4, 8, 19),  # m = 1..6
+    ("hypertree", 4): (1, 1, 2, 4, 9),  # m = 1..5
+    ("unicyclic", 3): (1, 3, 10, 31, 106, 352),  # m = 2..7
+    ("unicyclic", 4): (1, 3, 11, 36),  # m = 2..5
+}
+
+
+def test_enumerated_classes_match_the_pinned_counts_and_keep_their_codes():
     rng = random.Random(3)
-    for k, max_m in sorted(gen.ENUM_BUDGET.items()):
-        for m in range(1, max_m + 1):
-            trees = gen.enumerate_hypertrees(m, k)
-            graphs = []
-            for T in trees:
-                graphs.append(T)
+    for (kind, k), counts in PINNED_CLASS_COUNTS.items():
+        first_m = 1 if kind == "hypertree" else 2
+        enumerate_ = gen.enumerate_hypertrees if kind == "hypertree" else gen.enumerate_small_unicyclic
+        for m, count in enumerate(counts, first_m):
+            graphs = enumerate_(m, k)
+            codes = [canonical_code(G) for G in graphs]
+            assert len(set(codes)) == len(graphs) == count, (kind, k, m)
+            for G, code in zip(graphs, codes):
                 for _ in range(3):
-                    perm = list(range(T.n))
+                    perm = list(range(G.n))
                     rng.shuffle(perm)
-                    graphs.append(relabel(T, perm))
-            assert all(_tree_perm(G) is not None for G in graphs)
-            pairs = {(canonical_code(G), _search_code(G)) for G in graphs}
-            # One pair per class: each code determines the other.
-            tree_codes, search_codes = {a for a, _ in pairs}, {b for _, b in pairs}
-            assert len(pairs) == len(tree_codes) == len(search_codes) == len(trees), (k, m)
+                    assert canonical_code(relabel(G, perm)) == code, (kind, k, m)
 
 
 @st.composite
@@ -260,17 +269,28 @@ def test_canonical_code_is_relabel_invariant(case):
 
 
 def test_single_edge_takes_the_tree_path_centered_on_the_edge():
+    # The edge node is the center; its vertices keep their order.
     for k in (2, 3, 5):
         G = build(k, k, [range(k)])
-        assert _tree_perm(G) is not None
-        assert canonical_code(G) == _search_code(G)
+        assert canonical_code(G) == b"".join(v.to_bytes(4, "big") for v in (k, k, 1, *range(k)))
 
 
-def test_disconnected_graph_with_the_tree_vertex_count_takes_the_search():
-    # n - 1 = m(k - 1) = 4, but vertex 4 is isolated and the edges meet twice.
-    G = build(3, 5, [(0, 1, 2), (0, 1, 3)])
-    assert _tree_perm(G) is None
-    assert canonical_code(G) == _search_code(G)
+def test_canonical_code_rejects_graphs_neither_tree_nor_unicyclic():
+    C = gen.hypercycle(3, 3)
+    graphs = [
+        # n - 1 = m(k - 1) = 4, but vertex 4 is isolated and the edges meet twice.
+        build(3, 5, [(0, 1, 2), (0, 1, 3)]),
+        gen.complete(5, 2),
+        # Two disjoint copies of C_{3,3}: n = m(k - 1) and two cycles left.
+        build(3, 12, list(C.edges) + [[v + 6 for v in e] for e in C.edges]),
+        # An edge beside K_4 minus an edge: n = m(k - 1), a theta left.
+        build(2, 6, [(0, 1), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)]),
+        # A hypertree beside an isolated vertex.
+        build(3, 6, [(0, 1, 2), (0, 3, 4)]),
+    ]
+    for G in graphs:
+        with pytest.raises(ValueError, match="hypertrees and unicyclic"):
+            canonical_code(G)
 
 
 # ---- UHG v1 ----

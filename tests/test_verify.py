@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from abctensor import build
+from abctensor import Weighting, build, classify
 from abctensor import generators as gen
 from abctensor import verify as ver
 from abctensor.closed_forms import rho_abc_hyperpath, rho_abc_u2, rho_abc_u3
@@ -161,10 +161,21 @@ def test_u_compositions_canonical():
 
 
 def test_unicyclic_global_max_small():
-    for m in (3, 4, 5):
-        r = ver.check_unicyclic_global_max(m, 3)
-        assert r.status == HOLDS
-        assert r.rhs == pytest.approx(rho_abc_u2(m, 3))
+    for m, k in [(m, 3) for m in range(3, 8)] + [(m, 4) for m in (3, 4, 5)]:
+        r = ver.check_unicyclic_global_max(m, k)
+        assert r.status == HOLDS, (m, k)
+        assert r.rhs == pytest.approx(rho_abc_u2(m, k))
+        assert r.margin > 1e-9  # the lead over the runner-up
+
+
+def test_linear_unicyclic_global_max_small():
+    # Over every linear unicyclic shape (girth >= 3) the maximum is U_{m,3}.
+    for m, k in [(m, 3) for m in range(4, 8)] + [(4, 4), (5, 4)]:
+        shapes = [G for G in gen.enumerate_small_unicyclic(m, k) if classify(G).linear]
+        ranked = ver._ranked((ver._solve(G, Weighting.ABC), G) for G in shapes)
+        is_u3 = ver._is_graph_of("u3", m, k)
+        r = ver._leader("linear-unicyclic-max", ranked, is_u3, rho_abc_u3(m, k), "")
+        assert r.status == HOLDS, (m, k)
         assert r.margin > 1e-9  # the lead over the runner-up
 
 
@@ -239,6 +250,14 @@ def test_two_suite_calls_make_the_same_solves(monkeypatch):
     second = ver.default_suite()
     assert once == len(weightings) - once == 376
     assert len(first) == len(second) == 345
+
+
+def test_suite_rejects_g_before_any_solve(monkeypatch):
+    weightings = _count_solves(monkeypatch)
+    for g in (0, 1, 4, 5):
+        with pytest.raises(ValueError, match="g must be 2 or 3"):
+            ver.default_suite(m=3, k=3, g=g)
+    assert weightings == []
 
 
 def test_suite_bound_checks_equal_the_public_checks():
