@@ -30,6 +30,7 @@ from .spectral import (
     SolveOptions,
     SpectralEstimate,
     residual,
+    spectral_radii,
     spectral_radius,
 )
 from .tensor import (

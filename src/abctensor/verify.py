@@ -5,13 +5,16 @@ Spectral estimates enter as certified brackets widened by ``SLACK``;
 closed forms are bare floats with no error bound, met within a
 tolerance.  So ``violated`` means a miss beyond those tolerances.
 
-Each bound check is a solve and a judgement.  ``check_<name>`` solves
-and judges one graph; ``default_suite`` solves each bound graph once
-per weighting and passes the estimates to all five judgements.  Given
-a name prefix it runs only the groups of checks whose names can start
-with it, and solves only the weightings their judgements take.  No
-estimate is kept from one call to the next.  Every extremal check is
-one judgement, ``_leader``, of the first of a ranked class.
+Every group of checks is a plan: the (graph, weighting) requests it
+needs and a judgement of their estimates.  A public check solves its
+own plan; ``default_suite`` gathers the plans of every group it runs
+and solves all their requests in one ``spectral_radii`` call, which
+steps same-shape graphs in lock step, before it judges.  Each bound
+graph is requested once per weighting its judgements take.  Given a
+name prefix the suite runs only the groups of checks whose names can
+start with it.  No estimate is kept from one call to the next.  Every
+extremal check is one judgement, ``_leader``, of the first of a ranked
+class.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .generators import (
     unicyclic_family,
 )
 from .hypergraph import UniformHypergraph, classify, degrees
-from .spectral import SolveOptions, SpectralEstimate, residual_of, spectral_radius
+from .spectral import SolveOptions, SpectralEstimate, residual_of, spectral_radii
+from .spectral import spectral_radius  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .tensor import TensorOperator, Weighting, abc_index, k_unit, omega
 
 HOLDS = "holds"
@@ -77,8 +81,15 @@ def _le(a: tuple[float, float], b: tuple[float, float]) -> str:
     return EQUALITY  # intervals overlap: equality within tolerance
 
 
-def _solve(G: UniformHypergraph, w: Weighting, opts: Optional[SolveOptions] = None):
-    return spectral_radius(G, w, opts or SolveOptions())
+def _run(plans, opts: Optional[SolveOptions] = None) -> list[CheckResult]:
+    """Solve the requests of every (requests, judge) plan in one
+    ``spectral_radii`` call, then judge each plan's estimates."""
+    ests = iter(spectral_radii([r for reqs, _ in plans for r in reqs], opts or SolveOptions()))
+    return [res for reqs, judge in plans for res in judge([next(ests) for _ in reqs])]
+
+
+def _check(G: UniformHypergraph, name: str, opts) -> CheckResult:
+    return _run([_bound_plan(G, name)], opts)[0]
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +99,7 @@ def _solve(G: UniformHypergraph, w: Weighting, opts: Optional[SolveOptions] = No
 def check_edge_sum_bounds(G: UniformHypergraph, opts=None) -> CheckResult:
     """min_e (sum_{i in e} d_i - k)^(1/k) <= rho_abc <= max_e (...)^(1/k);
     both collapse to equalities iff edge degree sums are constant."""
-    return _edge_sum_bounds(G, _solve(G, Weighting.ABC, opts))
+    return _check(G, "edge-sum-bounds", opts)
 
 
 def _edge_sum_bounds(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
@@ -99,7 +110,7 @@ def _edge_sum_bounds(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult
 
 def check_regular_corollary(G: UniformHypergraph, opts=None) -> CheckResult:
     """(k*delta - k)^(1/k) <= rho_abc <= (k*Delta - k)^(1/k); equalities iff regular."""
-    return _regular_corollary(G, _solve(G, Weighting.ABC, opts))
+    return _check(G, "regular-corollary", opts)
 
 
 def _regular_corollary(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
@@ -132,7 +143,7 @@ def _between(
 def check_mean_bound(G: UniformHypergraph, opts=None) -> CheckResult:
     """rho_abc >= k! * abc_index / n, equality iff the per-vertex sums of
     omega^(1/k) over incident edges are constant."""
-    return _mean_bound(G, _solve(G, Weighting.ABC, opts))
+    return _check(G, "mean-bound", opts)
 
 
 def _mean_bound(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
@@ -166,7 +177,7 @@ def check_delta_bound(G: UniformHypergraph, opts=None) -> CheckResult:
     iff every edge has omega = (Delta-1)/Delta."""
     if degrees(G).max_degree < 2:
         raise ValueError("delta bound requires maximum degree >= 2")
-    return _delta_bound(G, _solve(G, Weighting.ABC, opts), _solve(G, Weighting.ADJACENCY, opts))
+    return _check(G, "delta-bound", opts)
 
 
 def _delta_bound(
@@ -194,27 +205,33 @@ def _delta_bound(
 
 def check_power_relation(G: UniformHypergraph, k: int, opts=None) -> CheckResult:
     """rho_abc(G^k) equals rho_abc(G)^(r/k)."""
+    return _run([_power_plan(G, k)], opts)[0]
+
+
+def _power_plan(G: UniformHypergraph, k: int):
     r = G.k
-    base = _solve(G, Weighting.ABC, opts)
-    lifted = _solve(power(G, k), Weighting.ABC, opts)
     expo = r / k
-    lhs = (max(base.lower, 0.0) ** expo - SLACK, max(base.upper, 0.0) ** expo + SLACK)
-    rhs = _interval(lifted)
-    overlap = lhs[0] <= rhs[1] and rhs[0] <= lhs[1]
-    status = HOLDS if overlap else VIOLATED
-    return CheckResult(
-        name="power-relation",
-        status=status,
-        lhs=lifted.rho,
-        rhs=base.rho**expo,
-        margin=abs(lifted.rho - base.rho**expo),
-        detail=f"r={r}, k={k}",
-    )
+
+    def judge(ests):
+        base, lifted = ests
+        lhs = (max(base.lower, 0.0) ** expo - SLACK, max(base.upper, 0.0) ** expo + SLACK)
+        rhs = _interval(lifted)
+        overlap = lhs[0] <= rhs[1] and rhs[0] <= lhs[1]
+        return [CheckResult(
+            name="power-relation",
+            status=HOLDS if overlap else VIOLATED,
+            lhs=lifted.rho,
+            rhs=base.rho**expo,
+            margin=abs(lifted.rho - base.rho**expo),
+            detail=f"r={r}, k={k}",
+        )]
+
+    return [(G, Weighting.ABC), (power(G, k), Weighting.ABC)], judge
 
 
 def check_randic_unit(G: UniformHypergraph, opts=None) -> CheckResult:
     """rho of the randic tensor is 1; x_i = d_i^(1/k) is an exact eigenvector."""
-    return _randic_unit(G, _solve(G, Weighting.RANDIC, opts))
+    return _check(G, "randic-unit", opts)
 
 
 def _randic_unit(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
@@ -278,30 +295,37 @@ def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
     unique max S_{m,k}; unique second max D_{m,1}^k (m >= 4); unique
     non-power max S_{m,k;m-3,1,1} (k >= 3, m >= 4); maxima match their
     closed forms; consecutive ranks gap > 1e-9."""
+    return _run([_hypertree_plan(m, k)], opts)
+
+
+def _hypertree_plan(m: int, k: int):
     try:
         trees = enumerate_hypertrees(m, k)
     except BudgetExceededError as exc:
         nan = float("nan")
-        name = f"hypertree-scan-max[m={m},k={k}]"
-        return [CheckResult(name, INCONCLUSIVE, nan, nan, nan, str(exc))]
-    ranked = _ranked((_solve(T, Weighting.ABC, opts), T) for T in trees)
+        out = [CheckResult(f"hypertree-scan-max[m={m},k={k}]", INCONCLUSIVE, nan, nan, nan, str(exc))]
+        return [], lambda ests: out
 
     def leader(kind, ranked, form, detail, floor):
         closed = cf.closed_form(form, m=m, k=k)
         name = f"hypertree-scan-{kind}[m={m},k={k}]"
         return _leader(name, ranked, _is_graph_of(form, m, k), closed, detail, floor)
 
-    radii = "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
-    results = [leader("max", ranked, "hyperstar", f"classes={len(ranked)}; radii: {radii}", 0.0)]
-    if m >= 4 and len(ranked) >= 2:
-        detail = "second maximum is the lifted double star"
-        results.append(leader("second", ranked[1:], "double-star-1", detail, -math.inf))
-    if k >= 3 and m >= 4:
-        non_power = [(est, T) for est, T in ranked if classify(T).power_hypertree is False]
-        if non_power:
-            detail = f"non-power classes={len(non_power)}"
-            results.append(leader("nonpower", non_power, "s311", detail, -math.inf))
-    return results
+    def judge(ests):
+        ranked = _ranked(zip(ests, trees))
+        radii = "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
+        results = [leader("max", ranked, "hyperstar", f"classes={len(ranked)}; radii: {radii}", 0.0)]
+        if m >= 4 and len(ranked) >= 2:
+            detail = "second maximum is the lifted double star"
+            results.append(leader("second", ranked[1:], "double-star-1", detail, -math.inf))
+        if k >= 3 and m >= 4:
+            non_power = [(est, T) for est, T in ranked if classify(T).power_hypertree is False]
+            if non_power:
+                detail = f"non-power classes={len(non_power)}"
+                results.append(leader("nonpower", non_power, "s311", detail, -math.inf))
+        return results
+
+    return [(T, Weighting.ABC) for T in trees], judge
 
 
 def _partitions_desc(total: int, slots: int):
@@ -332,13 +356,21 @@ def extremal_scan_unicyclic_family(m: int, k: int, g: int, opts=None) -> list[Ch
     """Over all compositions a of m-g, confirm the unique maximizer of
     rho_abc(U_{m,k,g}(a)) is a = (m-g, 0, ..., 0) and its value matches
     the closed form."""
+    return _run([_unicyclic_plan(m, k, g)], opts)
+
+
+def _unicyclic_plan(m: int, k: int, g: int):
     comps = _u_compositions(m - g, k)
-    ranked = _ranked((_solve(unicyclic_family(m, k, g, a), Weighting.ABC, opts), a) for a in comps)
     want = (m - g,) + (0,) * (k - 1)
-    table = "; ".join(f"{e.rho:.10f}@a={a}" for e, a in ranked)
     closed = cf.closed_form("u2" if g == 2 else "u3", m=m, k=k)
     name = f"unicyclic-scan[m={m},k={k},g={g}]"
-    return [_leader(name, ranked, lambda a: a == want, closed, f"members={len(ranked)}; {table}")]
+
+    def judge(ests):
+        ranked = _ranked(zip(ests, comps))
+        table = "; ".join(f"{e.rho:.10f}@a={a}" for e, a in ranked)
+        return [_leader(name, ranked, lambda a: a == want, closed, f"members={len(ranked)}; {table}")]
+
+    return [(unicyclic_family(m, k, g, a), Weighting.ABC) for a in comps], judge
 
 
 def check_unicyclic_global_max(m: int, k: int, opts=None) -> CheckResult:
@@ -346,7 +378,7 @@ def check_unicyclic_global_max(m: int, k: int, opts=None) -> CheckResult:
     attained exactly at U_{m,2}^(k), with value (m-1+2/m)^(1/k), and
     leads the runner-up by more than 1e-9."""
     shapes = enumerate_small_unicyclic(m, k)
-    ranked = _ranked((_solve(G, Weighting.ABC, opts), G) for G in shapes)
+    ranked = _ranked(zip(spectral_radii([(G, Weighting.ABC) for G in shapes], opts or SolveOptions()), shapes))
     closed = cf.closed_form("u2", m=m, k=k)
     name = f"unicyclic-global-max[m={m},k={k}]"
     return _leader(name, ranked, _is_graph_of("u2", m, k), closed, f"shapes={len(shapes)}")
@@ -372,9 +404,16 @@ def run_worked_examples(opts=None) -> list[CheckResult]:
     """Rebuild the two pendant-expanded hyperstars, verify the univariate
     reductions of their eigen-equations, the four tabulated values, and
     the strict comparisons against hyperpath radii."""
+    return _run([_worked_plan()], opts)
+
+
+def _worked_plan():
+    return [(example_h(ex[0]), Weighting.ABC) for ex in _WORKED_EXAMPLES], _worked_judge
+
+
+def _worked_judge(ests) -> list[CheckResult]:
     results = []
-    for idx, f, m, k, expect, alt_k in _WORKED_EXAMPLES:
-        est = _solve(example_h(idx), Weighting.ABC, opts)
+    for (idx, f, m, k, expect, alt_k), est in zip(_WORKED_EXAMPLES, ests):
         path = cf.closed_form("hyperpath", m=m, k=k)
         vals = (f(1.0), f(path))
         below = est.upper + SLACK < path
@@ -403,19 +442,20 @@ def _wanted(prefix: str, stem: str) -> bool:
     return stem.startswith(prefix) or prefix.startswith(stem)
 
 
-def _bound_checks(G: UniformHypergraph, prefix: str) -> list[CheckResult]:
-    """The bound checks on G whose names start with ``prefix``, from one
-    solve per weighting their judgements take."""
-    estimates = {}
-    out = []
-    for name, judge, weightings in _BOUND_JUDGEMENTS:
-        if not name.startswith(prefix) or (name == "delta-bound" and degrees(G).max_degree < 2):
-            continue
-        for w in weightings:
-            if w not in estimates:
-                estimates[w] = _solve(G, w)
-        out.append(judge(G, *(estimates[w] for w in weightings)))
-    return out
+def _bound_plan(G: UniformHypergraph, prefix: str):
+    """The plan of the bound checks on G whose names start with
+    ``prefix``: one request per weighting their judgements take."""
+    judgements = [
+        (judge, ws) for name, judge, ws in _BOUND_JUDGEMENTS
+        if name.startswith(prefix) and (name != "delta-bound" or degrees(G).max_degree >= 2)
+    ]
+    weightings = list(dict.fromkeys(w for _, ws in judgements for w in ws))
+
+    def judge(ests):
+        by_weighting = dict(zip(weightings, ests))
+        return [j(G, *(by_weighting[w] for w in ws)) for j, ws in judgements]
+
+    return [(G, w) for w in weightings], judge
 
 
 def default_suite(
@@ -427,15 +467,14 @@ def default_suite(
     """Run every check over a desk-scale grid (or a single (m, k, g)),
     sorted by name.
 
-    Each bound graph is solved once per weighting its judgements take,
-    and the estimates are shared by the five bound checks; nothing is
-    kept between calls.  Only the groups of checks whose names can start
-    with ``prefix`` are run, and only the checks whose names do are
-    returned, so the result equals the full suite filtered by that prefix.
+    Every (graph, weighting) the run groups need is solved in one
+    ``spectral_radii`` call before any judgement; nothing is kept between
+    calls.  Only the groups of checks whose names can start with
+    ``prefix`` are run, and only the checks whose names do are returned,
+    so the result equals the full suite filtered by that prefix.
     """
     if g not in (None, 2, 3):
         raise ValueError("g must be 2 or 3")
-    results: list[CheckResult] = []
     ms = [m] if m is not None else list(range(3, 9))
     ks = [k] if k is not None else [2, 3, 4]
     gs = [g] if g is not None else [2, 3]
@@ -451,21 +490,19 @@ def default_suite(
                 bound_graphs.append(cf.closed_form_graph("s311", m=mm, k=kk))
     bound_graphs.append(complete(4, 3))
     bound_graphs.append(complete(5, 2))
-    for G in bound_graphs:
-        results += _bound_checks(G, prefix)
+    plans = [_bound_plan(G, prefix) for G in bound_graphs]
 
     if _wanted(prefix, "power-relation"):
-        for mm in ms:
-            if mm >= 3:
-                results.append(check_power_relation(double_star(mm, 1), max(3, max(ks))))
+        plans += [_power_plan(double_star(mm, 1), max(3, max(ks))) for mm in ms if mm >= 3]
     for kk in ks:
         if kk >= 3:
             for mm in ms:
                 if mm <= ENUM_BUDGET.get(kk, 4) and _wanted(prefix, "hypertree-scan-"):
-                    results.extend(extremal_scan_hypertrees(mm, kk))
+                    plans.append(_hypertree_plan(mm, kk))
                 for gg in gs:
                     if gg <= mm <= 7 and _wanted(prefix, "unicyclic-scan["):
-                        results.extend(extremal_scan_unicyclic_family(mm, kk, gg))
+                        plans.append(_unicyclic_plan(mm, kk, gg))
     if _wanted(prefix, "worked-example-"):
-        results.extend(run_worked_examples())
+        plans.append(_worked_plan())
+    results = _run(plans)
     return sorted((r for r in results if r.name.startswith(prefix)), key=lambda r: r.name)

@@ -84,3 +84,86 @@ def contract_by_loop(G: UniformHypergraph, weights, x) -> np.ndarray:
         for j, v in enumerate(e):
             out[v] += (w * pref[j]) * suff[j]
     return out
+
+
+def solve_by_single_loop(op, opts):
+    """The solver as one loop over one operator, with 1-D arrays: power
+    steps, the switch rule, Newton–Noda steps with theta halvings and the
+    final bracket, written out step by step as ``spectral`` documents them.
+    Returns ``(rho, lower, upper, iters, newton_steps, residual, x)``;
+    raises ``ConvergenceError`` as ``spectral_radius`` does."""
+    import collections
+
+    from abctensor import spectral as sp
+    from abctensor.tensor import k_unit
+
+    n, k, s = op.n, op.k, opts.shift
+    x = sp._initial_vector(n, k, opts)
+    if op.is_zero():
+        return 0.0, 0.0, 0.0, 0, 0, 0.0, x
+
+    def evaluate(x):
+        xk1 = x ** (k - 1)
+        return xk1, op.apply(x) + s * xk1
+
+    def newton_step(x, xk1, ratios, hi):
+        E = op.G.edge_array
+        i, j = sp._position_pairs(k)
+        X = x[E]
+        pairs = (op.weights * X.prod(axis=1))[:, None] / (X[:, i] * X[:, j])
+        B = np.bincount((E[:, i] * (n + 1) + E[:, j]).ravel(), weights=pairs.ravel(), minlength=(n + 1) ** 2)
+        B = B.reshape(n + 1, n + 1)
+        B.flat[: n * (n + 2) : n + 2] -= (k - 1) * (hi - s) * x ** (k - 2)
+        B[:n, n] = -xk1
+        B[n, :n] = 1.0
+        rhs = np.zeros(n + 1)
+        rhs[:n] = (hi - ratios) * xk1
+        try:
+            dx = np.linalg.solve(B, rhs)[:n]
+        except np.linalg.LinAlgError:
+            return None
+        theta = 1.0
+        for _ in range(sp._HALVINGS + 1):
+            z = x + theta * dx
+            if z.min() > 0.0:
+                z = k_unit(z, k)
+                zk1, yz = evaluate(z)
+                if float((yz / zk1).max()) < hi:
+                    return z, zk1, yz
+            theta /= 2.0
+        return None
+
+    xk1, y = evaluate(x)
+    lo_best, up_best = -np.inf, np.inf
+    spreads = collections.deque(maxlen=sp._WINDOW + 1)
+    newton_allowed, newton, newton_steps = n <= sp.NEWTON_MAX_N, False, 0
+    for iters in range(1, opts.max_iters + 1):
+        ratios = y / xk1
+        lo, hi = float(ratios.min()), float(ratios.max())
+        lo_best, up_best = max(lo_best, lo), min(up_best, hi)
+        target = opts.tol * max(1.0, up_best - s)
+        if up_best - lo_best <= target:
+            break
+        if newton_allowed and not newton:
+            spreads.append(hi - lo)
+            newton = len(spreads) > sp._WINDOW and sp._newton_pays(op, spreads[0], hi - lo, target)
+        if newton:
+            step = newton_step(x, xk1, ratios, hi)
+            if step is not None:
+                x, xk1, y = step
+                newton_steps += 1
+                continue
+            newton_allowed = newton = False
+        y /= y.max()
+        x = k_unit(y ** (1.0 / (k - 1)), k)
+        xk1, y = evaluate(x)
+    else:
+        raise sp.ConvergenceError("stalled", lo_best - s, up_best - s, opts.max_iters)
+    lower, upper = sorted((lo_best - s, up_best - s))
+    rho = (lower + upper) / 2.0
+    pad = sp._ratio_error(op, up_best)
+    if upper - lower < 2.0 * pad:
+        lower, upper = lower - pad, upper + pad
+    if lower <= 0.0:
+        raise sp.ConvergenceError("shift swamps rho", lower, upper, iters)
+    return rho, lower, upper, iters, newton_steps, sp.residual_of(op, rho, x), x

@@ -197,6 +197,9 @@ def test_floats_serialized_17_digits(capsys):
       for name in ("s4-1111", "u2", "u3", "s311")),
     ("rho --family hyperpath --m 2 --k 3 --shift inf", "shift must be positive and finite"),
     ("rho --family hyperpath --m 2 --k 3 --shift nan", "shift must be positive and finite"),
+    # The true radius is 1; at these shifts the bracket admits rho <= 0.
+    ("rho --family hyperpath --m 2 --k 3 --shift 1e20", "lower the shift"),
+    ("rho --family hyperpath --m 2 --k 3 --shift 1e16", "lower the shift"),
     ("rho --family hyperpath --m 2 --k 3 --tol nan", "tol must be positive and finite"),
     ("rho --family hyperpath --m 2 --k 3 --tol inf", "tol must be positive and finite"),
     ("gen --family hyperstar --m x", "argument --m: invalid int value: 'x'"),
@@ -206,7 +209,7 @@ def test_floats_serialized_17_digits(capsys):
 ], ids=["family-flag-rho", "family-flag-gen", "overflow", "max-iters-0", "no-convergence", "gen-no-family",
         "huge-hyperstar", "huge-hyperpath", "huge-hypercycle", "huge-double-star", "huge-power",
         "huge-closed-form-graph", "huge-k-s4-1111", "huge-k-u2", "huge-k-u3", "huge-k-s311",
-        "shift-inf", "shift-nan", "tol-nan", "tol-inf", "usage", "verify-m-0",
+        "shift-inf", "shift-nan", "shift-1e20", "shift-1e16", "tol-nan", "tol-inf", "usage", "verify-m-0",
         "verify-g-5", "verify-g-0"])
 def test_probes_end_in_the_error_record(capsys, argv, needle):
     code, out, err = run(capsys, *argv.split(), "--json")
@@ -218,6 +221,8 @@ def test_probes_end_in_the_error_record(capsys, argv, needle):
         assert rec["iters"] == 100 and 0 < rec["lower"] < rec["upper"]
         schema = json.loads((Path(__file__).parents[1] / "schemas" / "cli-output.schema.json").read_text())
         assert not list(jsonschema.Draft202012Validator(schema).iter_errors(rec))
+    if needle == "lower the shift":
+        assert rec["lower"] <= 0.0 < 1.0 < rec["upper"] and rec["iters"] == 1
 
 
 def test_huge_header_vertex_count_is_an_input_error(tmp_path, capsys):
@@ -325,13 +330,13 @@ def test_verify_prefix_runs_only_the_matching_checks(capsys, monkeypatch):
     _, full, _ = run(capsys, "verify", "all", "--json")
     want = [line for line in full.splitlines() if '"name": "randic-unit"' in line]
     weightings = []
-    real = ver.spectral_radius
+    real = ver.spectral_radii
 
-    def recording(G, w=None, opts=SolveOptions()):
-        weightings.append(w)
-        return real(G, w, opts)
+    def recording(problems, opts=SolveOptions()):
+        weightings.extend(w for _, w in problems)
+        return real(problems, opts)
 
-    monkeypatch.setattr(ver, "spectral_radius", recording)
+    monkeypatch.setattr(ver, "spectral_radii", recording)
     code, out, _ = run(capsys, "verify", "randic-unit", "--json")
     assert code == 0 and want and out.splitlines() == want
     assert len(weightings) == len(want) and set(weightings) == {Weighting.RANDIC}

@@ -16,7 +16,8 @@ from abctensor.spectral import (
     ConvergenceError,
     NotConnectedError,
     SolveOptions,
-    _bordered_matrix,
+    _bordered_matrices,
+    _Stack,
     residual,
     residual_of,
     spectral_radius,
@@ -179,12 +180,11 @@ def test_slow_power_inputs_solve_with_default_options(G, w, known, monkeypatch):
     newton_step = spectral._newton_step
     uppers = []
 
-    def recorded(op, x, xk1, ratios, hi, s):
-        step = newton_step(op, x, xk1, ratios, hi, s)
-        if step is not None:
-            _, zk1, yz = step
-            uppers.append((hi, float((yz / zk1).max())))
-        return step
+    def recorded(stack, members, X, XK1, Y, R, his, s):
+        took, Z, ZK1, YZ = newton_step(stack, members, X, XK1, Y, R, his, s)
+        for b in np.flatnonzero(took).tolist():
+            uppers.append((his[b], float((YZ[b] / ZK1[b]).max())))
+        return took, Z, ZK1, YZ
 
     monkeypatch.setattr(spectral, "_newton_step", recorded)
     est = spectral_radius(G, w)
@@ -208,6 +208,11 @@ def test_trees_take_newton_steps(G, w, most):
 def test_fast_inputs_stay_on_power_steps():
     est = spectral_radius(gen.hyperstar(50, 3), ABC)
     assert est.newton_steps == 0 and est.iters == 16
+
+
+def _bordered_matrix(op, x, xk1, lam):
+    """The bordered Newton matrix of one operator at x."""
+    return _bordered_matrices(_Stack([op]), np.arange(1), x[None], xk1[None], np.array([lam]))[0]
 
 
 def test_jacobian_is_the_derivative_of_the_contraction():

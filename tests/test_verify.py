@@ -172,7 +172,7 @@ def test_linear_unicyclic_global_max_small():
     # Over every linear unicyclic shape (girth >= 3) the maximum is U_{m,3}.
     for m, k in [(m, 3) for m in range(4, 8)] + [(4, 4), (5, 4)]:
         shapes = [G for G in gen.enumerate_small_unicyclic(m, k) if classify(G).linear]
-        ranked = ver._ranked((ver._solve(G, Weighting.ABC), G) for G in shapes)
+        ranked = ver._ranked(zip(ver.spectral_radii([(G, Weighting.ABC) for G in shapes]), shapes))
         is_u3 = ver._is_graph_of("u3", m, k)
         r = ver._leader("linear-unicyclic-max", ranked, is_u3, rho_abc_u3(m, k), "")
         assert r.status == HOLDS, (m, k)
@@ -225,39 +225,55 @@ def test_interval_comparison_never_bare_floats():
     assert r.ok
 
 
-def _count_solves(monkeypatch) -> list:
-    """Patch the suite's solver to record the weighting of every solve."""
+def _count_solves(monkeypatch) -> tuple[list, list]:
+    """Patch the suite's solver to record the weighting of every member
+    it is passed, and the number of members of every call."""
     from abctensor.spectral import SolveOptions
 
-    weightings = []
-    real = ver.spectral_radius
+    weightings, calls = [], []
+    real = ver.spectral_radii
 
-    def recording(G, w=None, opts=SolveOptions()):
-        weightings.append(w)
-        return real(G, w, opts)
+    def recording(problems, opts=SolveOptions()):
+        calls.append(len(problems))
+        weightings.extend(w for _, w in problems)
+        return real(problems, opts)
 
-    monkeypatch.setattr(ver, "spectral_radius", recording)
-    return weightings
+    monkeypatch.setattr(ver, "spectral_radii", recording)
+    return weightings, calls
 
 
 def test_two_suite_calls_make_the_same_solves(monkeypatch):
     # Nothing is kept between calls: each one solves every graph again,
     # and each bound graph once per weighting (60 graphs, 3 weightings,
-    # adjacency only where Delta >= 2).
-    weightings = _count_solves(monkeypatch)
+    # adjacency only where Delta >= 2), all in one gathered call.
+    weightings, calls = _count_solves(monkeypatch)
     first = ver.default_suite()
     once = len(weightings)
     second = ver.default_suite()
     assert once == len(weightings) - once == 376
+    assert calls == [376, 376]
     assert len(first) == len(second) == 345
 
 
 def test_suite_rejects_g_before_any_solve(monkeypatch):
-    weightings = _count_solves(monkeypatch)
+    weightings, calls = _count_solves(monkeypatch)
     for g in (0, 1, 4, 5):
         with pytest.raises(ValueError, match="g must be 2 or 3"):
             ver.default_suite(m=3, k=3, g=g)
-    assert weightings == []
+    assert weightings == [] and calls == []
+
+
+@pytest.mark.parametrize("m, k", [(5, 3), (4, 4)])
+def test_gathered_suite_equals_one_solve_at_a_time(monkeypatch, m, k):
+    from abctensor.spectral import SolveOptions, spectral_radius
+
+    gathered = ver.default_suite(m=m, k=k)
+
+    def one_at_a_time(problems, opts=SolveOptions()):
+        return [spectral_radius(G, w, opts) for G, w in problems]
+
+    monkeypatch.setattr(ver, "spectral_radii", one_at_a_time)
+    assert ver.default_suite(m=m, k=k) == gathered
 
 
 def test_suite_bound_checks_equal_the_public_checks():
