@@ -30,9 +30,9 @@ CLOSED_FORM_FLAGS = ("m", "k", "n", "idx")
 
 
 def _f(x: float) -> float | None:
-    """Round-trip float through its 17-significant-digit form; None (JSON
-    null) for infinities and NaN, which strict JSON cannot carry."""
-    return float(format(x, ".17g")) if math.isfinite(x) else None
+    """x as a Python float; None (JSON null) for infinities and NaN, which
+    strict JSON cannot carry."""
+    return float(x) if math.isfinite(x) else None
 
 
 def _parse_comp(text: str) -> tuple[int, ...]:
@@ -194,7 +194,7 @@ def cmd_rho(args) -> int:
         "newton_steps": est.newton_steps,
         "residual": _f(est.residual),
         "weighting": args.weighting,
-        "eigenvector": [_f(v) for v in est.eigenvector],
+        "eigenvector": [_f(v) for v in est.eigenvector.tolist()],
     }
     _emit(record, args.json)
     return 0

@@ -10,6 +10,8 @@ are pure functions; instances are safe to share across threads.
 from __future__ import annotations
 
 import functools
+import io
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -369,6 +371,15 @@ def format_uhg(G: UniformHypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+"""The ASCII characters besides "\\n" that ``str.splitlines`` breaks lines at."""
+
+_ARRAY_BYTES = b"0123456789- \t\n"
+"""All that the edge lines read by ``np.loadtxt`` may hold."""
+
+_INDENTED_COMMENT = re.compile(rb"\n[ \t]+#")
+
+
 def parse_uhg(text: str) -> UniformHypergraph:
     """Parse the UHG v1 text format.
 
@@ -376,11 +387,27 @@ def parse_uhg(text: str) -> UniformHypergraph:
     space-separated 0-based vertex ids.  Lines starting with ``#`` are
     comments.  Malformed input raises UhgParseError with a line number.
 
-    The edge lines become one int64 ``(m, k)`` array that ``build``
-    validates as a whole; only when that fails are the lines read one by
-    one to find the one to report.
+    Two readers, one result.  An ASCII text whose only line break is
+    "\\n" and whose edge lines, comment lines aside, hold only digits,
+    ``-``, spaces and tabs becomes one int64 ``(m, k)`` array in a single
+    ``np.loadtxt`` pass, and ``build`` validates it as a whole.  Every
+    other text, and every text that pass or ``build`` rejects, is read
+    line by line with ``int()``, which reports the first offending line.
     """
-    lines = text.splitlines()
+    if text.isascii() and not any(b in text for b in _OTHER_BREAKS):
+        lines = io.StringIO(text, newline="\n")
+        start, k, n, m = _header(lines)
+        A = _edge_array(lines.read(), k, m)
+        if A is not None:
+            try:
+                return build(k, n, A)
+            except InvalidHypergraphError:
+                pass
+    return _parse_lines(text)
+
+
+def _header(lines: Iterable[str]) -> tuple[int, int, int, int]:
+    """The header's line number and its k, n and m."""
     for start, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
@@ -394,45 +421,75 @@ def parse_uhg(text: str) -> UniformHypergraph:
         k, n, m = (int(p) for p in parts[1:])
     except ValueError:
         raise UhgParseError("non-integer field in header", start) from None
-    rows = [ln for ln in lines[start:] if (s := ln.lstrip()) and s[0] != "#"]
-    # ";" between rows marks their ends: every k+1-th token is ";" exactly
-    # when each row holds k tokens, since ";" is not an integer.
-    tokens = " ; ".join(rows).split()
-    ends = slice(k, None, k + 1)
-    if len(rows) == m and len(tokens) == m * (k + 1) - 1 and tokens[ends].count(";") == m - 1:
-        del tokens[ends]
-        try:
-            # Each id is parsed by int(); one beyond int64 raises OverflowError.
-            return build(k, n, np.array(tokens, dtype=np.int64).reshape(m, k))
-        except (ValueError, OverflowError):  # InvalidHypergraphError included
-            pass
-    raise _first_bad_line(lines, start, k, n, m)
+    return start, k, n, m
 
 
-def _first_bad_line(lines: list[str], header_line: int, k: int, n: int, m: int) -> UhgParseError:
-    """The error for the first offending line, read line by line.  Runs
-    only after the array pass in ``parse_uhg`` has rejected the input."""
-    rows: list[tuple[int, list[int]]] = []
-    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append((lineno, [int(p) for p in line.split()]))
-        except ValueError:
-            return UhgParseError("non-integer vertex id", lineno)
-    if len(rows) != m:
-        return UhgParseError(
-            f"header declares {m} edges but {len(rows)} edge lines found", header_line
-        )
-    for lineno, ids in rows:
-        if len(ids) != k:
-            return UhgParseError(f"expected {k} vertex ids, got {len(ids)}", lineno)
+def _edge_array(body: str, k: int, m: int) -> Optional[np.ndarray]:
+    """The edge lines of an ASCII body with "\\n" line breaks as an
+    ``(m, k)`` int64 array, or None where ``np.loadtxt`` might read them
+    otherwise than ``int()`` line by line does, or cannot read them."""
+    data = body.encode("ascii")
+    if b"#" in data:
+        data = _without_comment_lines(data)
+    if data.translate(None, _ARRAY_BYTES) or not data or data.isspace():
+        return None  # a stray character, or no data, which loadtxt warns about
     try:
-        build(k, n, [ids for _, ids in rows])
+        A = np.loadtxt(io.BytesIO(data), dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, OverflowError):
+        return None
+    return A if A.shape == (m, k) else None
+
+
+def _without_comment_lines(data: bytes) -> bytes:
+    """``data`` (ASCII, "\\n" line breaks) without the lines whose first
+    byte other than a space or tab is ``#``.
+
+    With a line break put in front, every line starts after a line break
+    at some position p; a comment line's bytes from p up to the next line
+    break are dropped, so the line goes and the lines around it stay.
+    """
+    # Indented comment lines move to column 0 first.
+    b = np.frombuffer(_INDENTED_COMMENT.sub(b"\n#", b"\n" + data), np.uint8)
+    breaks = np.flatnonzero(b == ord("\n"))
+    first = b[np.minimum(breaks + 1, b.size - 1)]
+    comment = (first == ord("#")) & (breaks + 1 < b.size)
+    ends = np.append(breaks[1:], b.size)
+    edge = np.zeros(b.size + 1, np.int8)  # +1 where a dropped span starts, -1 where it ends
+    edge[breaks[comment]] += 1
+    edge[ends[comment]] -= 1
+    return b[np.cumsum(edge[:-1], dtype=np.int8) == 0].tobytes()
+
+
+def _parse_lines(text: str) -> UniformHypergraph:
+    """``parse_uhg`` read line by line with ``int()``: the hypergraph, or
+    the UhgParseError of the first offending line.  A non-integer id on
+    any line is reported first, then a wrong number of edge lines, then
+    the first line of the wrong width, then the first edge ``build``
+    rejects."""
+    lines = text.splitlines()
+    start, k, n, m = _header(lines)
+    linenos, ids_read, wrong = [], [], None
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        ids = raw.split()  # the same whitespace as str.strip()
+        if ids and ids[0][0] != "#":
+            try:
+                ids_read.extend(map(int, ids))
+            except ValueError:
+                raise UhgParseError("non-integer vertex id", lineno) from None
+            linenos.append(lineno)
+            if len(ids) != k and wrong is None:
+                wrong = UhgParseError(f"expected {k} vertex ids, got {len(ids)}", lineno)
+    if len(linenos) != m:
+        raise UhgParseError(f"header declares {m} edges but {len(linenos)} edge lines found", start)
+    if wrong is not None:
+        raise wrong
+    # m rows of k ids each, one flat list: no per-row objects.
+    try:
+        edges = np.array(ids_read, dtype=np.int64).reshape(m, k) if m else []
+    except OverflowError:  # an id beyond int64, which build reports from the rows
+        edges = [ids_read[i : i + k] for i in range(0, m * k, k)]
+    try:
+        return build(k, n, edges)
     except InvalidHypergraphError as exc:
-        lineno = rows[exc.edge_index][0] if exc.edge_index is not None else header_line
-        err = UhgParseError(str(exc), lineno)
-        err.__cause__ = exc
-        return err
-    raise AssertionError("the array pass rejected input that reads line by line")
+        lineno = linenos[exc.edge_index] if exc.edge_index is not None else start
+        raise UhgParseError(str(exc), lineno) from exc

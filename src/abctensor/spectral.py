@@ -246,7 +246,9 @@ class _Member:
 class _Stack:
     """The operators of one (n, k) as one operator on B*n vertices, member
     b's vertex v numbered b*n + v, so that one kernel call contracts any
-    subset of them.  A subset of one is its own operator's arrays."""
+    subset of them.  A subset of one is its own operator's arrays.  Each
+    subset kept has its own kernel workspace, so a stack belongs to one
+    solve."""
 
     def __init__(self, ops):
         self.ops, self.n, self.k = ops, ops[0].n, ops[0].k
@@ -257,28 +259,30 @@ class _Stack:
         self._cache = {}
 
     def arrays(self, members):
-        """Edges and weights of ``members`` (ascending group indices),
-        member ``members[b]`` renumbered to the vertices b*n + v; the last
-        few member sets are kept."""
+        """Edges, weights and kernel workspace of ``members`` (ascending
+        group indices), member ``members[b]`` renumbered to the vertices
+        b*n + v; the last few member sets are kept."""
         key = members.tobytes()
         if key not in self._cache:
             if len(self._cache) >= 4:
                 self._cache.clear()
             if len(members) == 1:
                 op = self.ops[members[0]]
-                self._cache[key] = op.G.edge_array, op.weights
+                E, W = op.G.edge_array, op.weights
             else:
                 slot = np.full(len(self.ops), -1)
                 slot[members] = np.arange(len(members))
                 at = slot[self._owner]
                 keep = at >= 0
-                self._cache[key] = self._edges[keep] + (at[keep] * self.n)[:, None], self._weights[keep]
+                E, W = self._edges[keep] + (at[keep] * self.n)[:, None], self._weights[keep]
+            self._cache[key] = E, W, _kernels.Workspace(E)
         return self._cache[key]
 
     def apply(self, members, X):
         """``T x^{k-1}`` of each row x of X, row b under ``members[b]``."""
         out = np.zeros(X.shape)
-        _kernels.contract(*self.arrays(members), X.ravel(), out.ravel())
+        E, W, work = self.arrays(members)
+        _kernels.contract(E, W, X.ravel(), out.ravel(), work=work)
         return out
 
     def evaluate(self, members, X, s):
@@ -426,7 +430,7 @@ def _bordered_matrices(stack, members, X, XK1, lam):
     pairs of the edges.
     """
     n, k, B = stack.n, stack.k, len(members)
-    E, W = stack.arrays(members)
+    E, W, _ = stack.arrays(members)
     i, j = _position_pairs(k)
     Xe = X.ravel()[E]
     pairs = (W * Xe.prod(axis=1))[:, None] / (Xe[:, i] * Xe[:, j])

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abctensor as ab
+from abctensor import hypergraph
 from abctensor import (
     DuplicateEdgeError,
     EdgeCardinalityError,
@@ -378,6 +380,69 @@ def test_parse_error_pins(text, message, line):
     with pytest.raises(UhgParseError) as exc:
         parse_uhg(text)
     assert str(exc.value) == f"line {line}: {message}" and exc.value.line == line
+
+
+# The array pass of parse_uhg against the line-by-line reader.
+
+_ODD_TOKENS = ["+5", "1_000", "\u0663", "1.0", "-1", str(2**63)]
+"""int() reads the first three; "\\u0663" is an Arabic-Indic 3."""
+
+
+def _outcome(parse, text):
+    """The hypergraph a parse returns, or the message and line of its error;
+    any warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse(text)
+        except UhgParseError as exc:
+            return str(exc), exc.line
+
+
+@st.composite
+def mutated_uhg_texts(draw):
+    G = draw(small_hypergraphs())
+    lines = format_uhg(G).splitlines()
+    if draw(st.integers(0, 9)) == 0:  # m = 0, with or without edge lines
+        lines = [f"uhg {G.k} {G.n} 0"] + lines[1:] * draw(st.integers(0, 1))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["token", "comment", "inline", "blank", "tabs"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        ids = lines[i].split()
+        if kind == "token" and i > 0 and ids:
+            ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+            lines[i] = " ".join(ids)
+        elif kind == "comment":
+            lines.insert(i, draw(st.sampled_from(["# note", "  # indented", "\t#"])))
+        elif kind == "inline":
+            lines[i] += " # note"
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "tabs":
+            lines[i] = lines[i].replace(" ", "\t")
+    breaks = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c"])
+    text = lines[0]
+    for line in lines[1:]:
+        text += draw(breaks) + line
+    return text + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_uhg_texts())
+def test_parse_uhg_equals_the_line_by_line_reader(text):
+    assert _outcome(parse_uhg, text) == _outcome(hypergraph._parse_lines, text)
+
+
+def test_plain_and_commented_texts_take_the_array_pass(monkeypatch):
+    def refuse(text):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(hypergraph, "_parse_lines", refuse)
+    G = gen.random_connected_hypergraph(40, 4, 3)
+    text = format_uhg(G)
+    commented = "# head\n" + text.replace("\n", "\n  # note\n\n", 3) + "#"
+    for t in (text, text.rstrip("\n"), text.replace(" ", "\t"), commented):
+        assert parse_uhg(t) == G
 
 
 def test_vertex_count_cap_is_checked_before_allocating():

@@ -117,7 +117,7 @@ def test_zero_member_comes_back_at_rho_zero_among_others():
 
 def test_disconnected_member_raises_before_any_step(monkeypatch):
     calls = []
-    monkeypatch.setattr(spectral._kernels, "contract", lambda *args: calls.append(args))
+    monkeypatch.setattr(spectral._kernels, "contract", lambda *args, **kw: calls.append(args))
     disconnected = build(3, 6, [[0, 1, 2], [3, 4, 5]])
     with pytest.raises(NotConnectedError):
         spectral_radii([(gen.hyperstar(3, 3), ABC), (disconnected, ADJ), (gen.hyperpath(3, 3), RND)])
@@ -208,9 +208,9 @@ def test_a_batch_of_one_contracts_its_own_edge_array(monkeypatch):
     contract = spectral._kernels.contract
     edges = []
 
-    def recorded(edge_idx, weights, x, out):
+    def recorded(edge_idx, weights, x, out, *, work):
         edges.append(edge_idx)
-        contract(edge_idx, weights, x, out)
+        contract(edge_idx, weights, x, out, work=work)
 
     monkeypatch.setattr(spectral._kernels, "contract", recorded)
     est = spectral_radius(op)

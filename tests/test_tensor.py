@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from abctensor import build
+from abctensor import _kernels, build
 from abctensor import generators as gen
+from abctensor.spectral import _Stack
 from abctensor.tensor import (
     TensorOperator,
     Weighting,
@@ -230,3 +231,27 @@ def test_apply_equals_the_edge_by_edge_loop_bit_for_bit():
         for _ in range(3):
             x = rng.uniform(0.05, 2.0, size=G.n)
             assert np.array_equal(op.apply(x), contract_by_loop(G, op.weights, x))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_reused_workspace_contracts_as_the_edge_by_edge_loop(k):
+    # One operator, and a lock-step stack of three on the vertices b*n + v.
+    ops = [TensorOperator.from_weighting(gen.random_hypertree(15, k, seed), w)
+           for seed, w in zip(range(3), Weighting)]
+    op, n = ops[0], ops[0].n
+    work = _kernels.Workspace(op.G.edge_array)
+    E, W, stack_work = _Stack(ops).arrays(np.arange(3))
+    rng = np.random.default_rng(k)
+    for _ in range(4):
+        X = rng.uniform(0.05, 2.0, size=(3, n))
+        out = np.zeros(n)
+        _kernels.contract(op.G.edge_array, op.weights, X[0], out, work=work)
+        assert np.array_equal(out, contract_by_loop(op.G, op.weights, X[0]))
+        out = np.zeros((3, n))
+        _kernels.contract(E, W, X.ravel(), out.ravel(), work=stack_work)
+        for b, member in enumerate(ops):
+            assert np.array_equal(out[b], contract_by_loop(member.G, member.weights, X[b]))
+    with pytest.raises(IndexError):
+        _kernels.contract(E, W, X[0], np.zeros(n), work=stack_work)
+    with pytest.raises(ValueError, match="another edge array"):
+        _kernels.contract(E.copy(), W, X.ravel(), np.zeros(3 * n), work=stack_work)
