@@ -18,7 +18,6 @@ from .hypergraph import (
     classify,
     degrees,
     format_uhg,
-    girth,
     is_connected,
     is_linear,
     parse_uhg,

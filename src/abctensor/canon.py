@@ -4,13 +4,13 @@ Two such hypergraphs get equal codes iff they are isomorphic.  A code is
 the relabeled edge list, so it determines its graph.
 
 Both kinds take one linear-time path through the vertex-edge incidence
-graph.  Peeling its leaves layer by layer ranks every peeled node by the
-sorted ranks of its children (Aho, Hopcroft and Ullman, 1974).  A
-hypertree peels completely and is rooted at its center.  A unicyclic
-hypergraph peels down to its one cycle, whose nodes are ranked as one
-more layer; the walk round it is the least rotation, in either
-direction, of its (vertex rank, next-edge rank) pairs (Duval, J.
-Algorithms 4, 1983).  A preorder walk in rank order from the root or
+graph.  ``hypergraph.peel`` peels its leaves layer by layer; here every
+peeled node is ranked by the sorted ranks of its children (Aho, Hopcroft
+and Ullman, 1974).  A hypertree peels completely and is rooted at its
+center.  A unicyclic hypergraph peels down to its one cycle, whose nodes
+are ranked as one more layer; the walk round it is the least rotation,
+in either direction, of its (vertex rank, next-edge rank) pairs (Duval,
+J. Algorithms 4, 1983).  A preorder walk in rank order from the root or
 from the cycle nodes numbers the vertices.  Any other hypergraph raises
 ``ValueError``.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hypergraph import UniformHypergraph
+from .hypergraph import UniformHypergraph, peel
 
 
 def _encode(G: UniformHypergraph, perm: list[int]) -> bytes:
@@ -59,49 +59,41 @@ def _least_walk(ring: list[int], rank: list[int]) -> list[int]:
     return min(candidates)[1]
 
 
+def _ring(G: UniformHypergraph, core: list[int]) -> list[int]:
+    """The core's nodes in one walk round it from core[0], a vertex node
+    since vertex ids come first, or [] when some core node has other
+    than two neighbours in the core."""
+    n = G.n
+    in_core = set(core)
+    nbrs = {}
+    for v in core:
+        adj = [n + i for i in G.vertex_edges[v]] if v < n else G.edges[v - n]
+        nbrs[v] = [u for u in adj if u in in_core]
+        if len(nbrs[v]) != 2:
+            return []
+    ring: list[int] = []
+    prev, v = -1, core[0]
+    while not ring or v != core[0]:
+        ring.append(v)
+        prev, v = v, next(u for u in nbrs[v] if u != prev)
+    return ring
+
+
 def _perm(G: UniformHypergraph) -> list[int]:
     """Canonical relabeling (old id -> new id) of a hypertree or a
     unicyclic hypergraph.
 
-    Node v < n of the incidence graph is vertex v, node n + i is edge i.
-    A node is peeled when one neighbour is left, and that neighbour is
-    its parent.  Peeling takes every node iff the incidence graph is a
-    forest, which with n - 1 = m(k - 1) means G is a hypertree; the last
-    node peeled is the center, unique because every leaf is a vertex
-    node.  Otherwise G is unicyclic iff n = m(k - 1) and what is left is
-    one cycle: every node left has two neighbours left, and one walk
-    covers them.  A node's layer is its height above the root or the
-    cycle.
+    ``peel`` takes every node iff the incidence graph is a forest, which
+    with n - 1 = m(k - 1) means G is a hypertree; the last node peeled
+    is the center, unique because every leaf is a vertex node.
+    Otherwise G is unicyclic iff n = m(k - 1) and the core is one cycle:
+    every core node has two neighbours in the core, and one walk covers
+    them.  A node's layer is its height above the root or the cycle.
     """
     n, m, k = G.n, G.m, G.k
-    adj = [[n + i for i in ei] for ei in G.vertex_edges] + [list(e) for e in G.edges]
-    left = [len(a) for a in adj]
-    peeled = [False] * (n + m)
-    children: list[list[int]] = [[] for _ in range(n + m)]
-    layers = []
-    layer = [v for v in range(n) if left[v] == 1]
-    while layer:
-        layers.append(layer)
-        for v in layer:
-            peeled[v] = True
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                if not peeled[u]:
-                    children[u].append(v)
-                    left[u] -= 1
-                    if left[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-
-    rest = [v for v in range(n + m) if not peeled[v]]
-    ring: list[int] = []
-    if rest and n == m * (k - 1) and all(left[v] == 2 for v in rest):
-        prev, v = -1, rest[0]  # a vertex node: ids below n come first
-        while not ring or v != rest[0]:
-            ring.append(v)
-            prev, v = v, next(u for u in adj[v] if not peeled[u] and u != prev)
-    if len(ring) != len(rest) or (not rest and n - 1 != m * (k - 1)):
+    layers, children, core = peel(G)
+    ring = _ring(G, core) if core and n == m * (k - 1) else []
+    if len(ring) != len(core) or (not core and n - 1 != m * (k - 1)):
         raise ValueError("canonical codes cover hypertrees and unicyclic hypergraphs only")
     if ring:
         layers.append(ring)

@@ -115,7 +115,7 @@ class StructureReport:
     kind: str  # "hypertree" | "unicyclic" | "other"
     linear: bool
     girth: Optional[int]
-    girth_status: str  # "exact" | "acyclic" | "undetermined"
+    girth_status: str  # "exact" | "acyclic" | "at-least-3"
     power_hypertree: Optional[bool]
 
 
@@ -243,80 +243,39 @@ def is_linear(G: UniformHypergraph) -> bool:
     return not _shares_a_pair(G)
 
 
-def girth(G: UniformHypergraph, budget: int = 500_000) -> tuple[Optional[int], str]:
-    """Length of a shortest cycle, or None.
+def peel(G: UniformHypergraph) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Leaf peeling of the vertex-edge incidence graph, in linear time.
 
-    A cycle of length L >= 2 is a sequence of distinct vertices
-    v_1..v_L and distinct edges e_1..e_L with {v_i, v_{i+1}} in e_i
-    (indices wrapping) and cyclically non-adjacent edges disjoint.
-    Returns (length, "exact"), (None, "acyclic"), or
-    (None, "undetermined") when the node budget is exhausted.
+    Node v < n is vertex v and node n + i is edge i.  The first layer is
+    every vertex with at most one neighbour; each later layer is every
+    node left with one unpeeled neighbour once the layer before it is
+    peeled.  That neighbour is the node's parent, and it lists the node
+    among its children in peeling order.  Returns (layers, children,
+    core): the layers in peeling order, each node's children, and the
+    nodes never peeled, ascending.  The core is the 2-core of the
+    incidence graph, so it is empty iff the incidence graph is a forest.
     """
-    # Length 2: any pair of edges meeting in >= 2 vertices.
-    if _shares_a_pair(G):
-        return 2, "exact"
-    sets = [set(e) for e in G.edges]
-    m = len(sets)
-
-    best: Optional[int] = None
-    nodes = 0
-    exhausted = False
-
-    def extend(v_start, verts, edge_ids, limit):
-        # verts: v_1..v_t chosen; edge_ids: e_1..e_{t-1}; try to close or grow.
-        nonlocal best, nodes, exhausted
-        if exhausted:
-            return
-        t = len(verts)
-        v_cur = verts[-1]
-        for ei in G.vertex_edges[v_cur]:
-            if ei in edge_ids:
-                continue
-            nodes += 1
-            if nodes > budget:
-                exhausted = True
-                return
-            e = sets[ei]
-            # Closing edge: must contain v_start; cycle length t.
-            if t >= 3 and v_start in e and t <= limit:
-                ok = True
-                for pos, ej in enumerate(edge_ids):
-                    # Closing edge has index t (1-based); adjacent to e_1 and e_{t-1}.
-                    if 0 < pos < t - 2 and e & sets[ej]:
-                        ok = False
-                        break
-                if ok:
-                    if best is None or t < best:
-                        best = t
-                    continue
-            if t >= limit:
-                continue
-            # Grow: next vertex in e, distinct from all chosen.
-            for w in e:
-                if w == v_cur or w in verts:
-                    continue
-                ok = True
-                for pos, ej in enumerate(edge_ids):
-                    # New edge index is t; non-adjacent to e_1..e_{t-2}.
-                    if pos < t - 2 and e & sets[ej]:
-                        ok = False
-                        break
-                if ok:
-                    extend(v_start, verts + [w], edge_ids + [ei], limit)
-
-    # Iterative deepening keeps the first hit minimal and bounds the search.
-    for limit in range(3, m + 1):
-        for v in range(G.n):
-            extend(v, [v], [], limit)
-            if exhausted:
-                break
-        if best is not None or exhausted:
-            break
-    if best is not None:
-        return best, "exact"
-    if exhausted:
-        return None, "undetermined"
-    return None, "acyclic"
+    n, m = G.n, G.m
+    adj = [[n + i for i in ei] for ei in G.vertex_edges] + [list(e) for e in G.edges]
+    left = [len(a) for a in adj]
+    peeled = [False] * (n + m)
+    children: list[list[int]] = [[] for _ in range(n + m)]
+    layers = []
+    layer = [v for v in range(n) if left[v] <= 1]
+    while layer:
+        layers.append(layer)
+        for v in layer:
+            peeled[v] = True
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                if not peeled[u]:
+                    children[u].append(v)
+                    left[u] -= 1
+                    if left[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return layers, children, [v for v in range(n + m) if not peeled[v]]
 
 
 def classify(G: UniformHypergraph) -> StructureReport:
@@ -324,9 +283,21 @@ def classify(G: UniformHypergraph) -> StructureReport:
 
     Kind detection uses the vertex-count identities (connected with
     n = m(k-1)+1 is acyclic; n = m(k-1) has exactly one cycle), which are
-    exact for connected k-uniform hypergraphs.  A hypertree with k >= 3
-    is the k-th power of an ordinary tree iff every edge carries at least
-    k-2 vertices of degree one.
+    exact for connected k-uniform hypergraphs.  The girth is the length
+    of a shortest cycle: L distinct vertices and L distinct edges taken
+    in turn round a cycle of the incidence graph.  A hypertree has
+    status "acyclic", and two edges sharing two vertices give
+    (2, "exact"); neither is peeled.  Any other input is peeled once
+    (``peel``):
+
+    - an empty core means no cycle at all: (None, "acyclic");
+    - a unicyclic core is its one cycle, half as long as the incidence
+      ring: (len(core) // 2, "exact");
+    - otherwise the girth is only known to be at least 3:
+      (None, "at-least-3").
+
+    A hypertree with k >= 3 is the k-th power of an ordinary tree iff
+    every edge carries at least k-2 vertices of degree one.
     """
     connected = G.connected
     m, k, n = G.m, G.k, G.n
@@ -338,10 +309,14 @@ def classify(G: UniformHypergraph) -> StructureReport:
         kind = "other"
     linear = is_linear(G)
 
-    if kind == "hypertree":
+    if not linear:
+        g_val, g_status = 2, "exact"
+    elif kind == "hypertree" or not (core := peel(G)[2]):
         g_val, g_status = None, "acyclic"
+    elif kind == "unicyclic":
+        g_val, g_status = len(core) // 2, "exact"
     else:
-        g_val, g_status = girth(G)
+        g_val, g_status = None, "at-least-3"
 
     power_flag: Optional[bool] = None
     if kind == "hypertree" and k >= 3:
@@ -387,15 +362,19 @@ def parse_uhg(text: str) -> UniformHypergraph:
     space-separated 0-based vertex ids.  Lines starting with ``#`` are
     comments.  Malformed input raises UhgParseError with a line number.
 
-    Two readers, one result.  An ASCII text whose only line break is
-    "\\n" and whose edge lines, comment lines aside, hold only digits,
-    ``-``, spaces and tabs becomes one int64 ``(m, k)`` array in a single
-    ``np.loadtxt`` pass, and ``build`` validates it as a whole.  Every
-    other text, and every text that pass or ``build`` rejects, is read
-    line by line with ``int()``, which reports the first offending line.
+    Two readers, one result.  An ASCII text whose line breaks are all
+    "\\n" or "\\r\\n" and whose edge lines, comment lines aside, hold
+    only digits, ``-``, spaces and tabs becomes one int64 ``(m, k)``
+    array in a single ``np.loadtxt`` pass, and ``build`` validates it as
+    a whole.  Every other text, and every text that pass or ``build``
+    rejects, is read line by line with ``int()``, which reports the
+    first offending line.
     """
-    if text.isascii() and not any(b in text for b in _OTHER_BREAKS):
-        lines = io.StringIO(text, newline="\n")
+    # "\n" for "\r\n" splits the same lines; a "\r" outside a pair
+    # stays, and sends the text to the line reader.
+    lf = text.replace("\r\n", "\n")
+    if lf.isascii() and not any(b in lf for b in _OTHER_BREAKS):
+        lines = io.StringIO(lf, newline="\n")
         start, k, n, m = _header(lines)
         A = _edge_array(lines.read(), k, m)
         if A is not None:

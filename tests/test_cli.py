@@ -21,6 +21,9 @@ from abctensor.cli import main, make_parser
 
 SRC = Path(__file__).parents[1] / "src"
 HUGE = str(10**20)
+VALIDATOR = jsonschema.Draft202012Validator(
+    json.loads((Path(__file__).parents[1] / "schemas" / "cli-output.schema.json").read_text())
+)
 
 
 def run(capsys, *argv):
@@ -73,12 +76,10 @@ def test_rho_all_weightings(capsys):
 
 
 def test_rho_records_report_newton_steps_and_match_the_schema(capsys):
-    schema = json.loads((Path(__file__).parents[1] / "schemas" / "cli-output.schema.json").read_text())
-    validator = jsonschema.Draft202012Validator(schema)
     for family, newton in ((["hyperstar", "--m", "5"], False), (["hyperpath", "--m", "30"], True)):
         code, out, _ = run(capsys, "rho", "--family", *family, "--k", "3", "--json")
         rec = json.loads(out)
-        assert code == 0 and not list(validator.iter_errors(rec))
+        assert code == 0 and not list(VALIDATOR.iter_errors(rec))
         assert (rec["newton_steps"] > 0) is newton
     code, out, _ = run(capsys, "rho", "--family", "hyperpath", "--m", "30", "--k", "3")
     assert "newton_steps: " in out
@@ -96,6 +97,10 @@ def test_classify_json(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["kind"] == "hypertree" and rec["power_hypertree"] is False
+    code, out, _ = run(capsys, "classify", "--family", "complete", "--n", "5", "--k", "2", "--json")
+    rec = json.loads(out)
+    assert code == 0 and rec["girth"] is None and rec["girth_status"] == "at-least-3"
+    assert not list(VALIDATOR.iter_errors(rec))
 
 
 def test_closed_form_check(capsys):
@@ -129,12 +134,10 @@ def test_verify_subset_exit_zero(capsys):
 
 @pytest.mark.parametrize("grid", [[], ["--m", "1", "--k", "3"]], ids=["paper-grid", "one-edge"])
 def test_verify_json_is_strict_and_matches_the_schema(capsys, grid):
-    schema = json.loads((Path(__file__).parents[1] / "schemas" / "cli-output.schema.json").read_text())
-    validator = jsonschema.Draft202012Validator(schema)
     code, out, err = run(capsys, "verify", "all", *grid, "--json")
     assert code == 0 and err == ""
     recs = [strict_json(line) for line in out.splitlines()]
-    assert recs and all(not list(validator.iter_errors(r)) for r in recs)
+    assert recs and all(not list(VALIDATOR.iter_errors(r)) for r in recs)
     if not grid:
         # A leader with no runner-up has an infinite lead.
         assert sum(r["margin"] is None for r in recs) == 4
@@ -219,8 +222,7 @@ def test_probes_end_in_the_error_record(capsys, argv, needle):
     if needle == "iters=100":
         assert "lower=" in rec["error"] and "upper=" in rec["error"]
         assert rec["iters"] == 100 and 0 < rec["lower"] < rec["upper"]
-        schema = json.loads((Path(__file__).parents[1] / "schemas" / "cli-output.schema.json").read_text())
-        assert not list(jsonschema.Draft202012Validator(schema).iter_errors(rec))
+        assert not list(VALIDATOR.iter_errors(rec))
     if needle == "lower the shift":
         assert rec["lower"] <= 0.0 < 1.0 < rec["upper"] and rec["iters"] == 1
 
@@ -317,9 +319,10 @@ def test_fuzzed_command_lines_end_in_an_exit_code_and_a_record(argv):
         assert out == ""
         rec = strict_json(err)
         assert rec["exit"] == 2 and rec["error"]
+        assert not list(VALIDATOR.iter_errors(rec)), (argv, rec)
     else:
         for line in out.splitlines():
-            strict_json(line)
+            assert not list(VALIDATOR.iter_errors(strict_json(line))), (argv, line)
 
 
 def test_verify_prefix_runs_only_the_matching_checks(capsys, monkeypatch):

@@ -132,10 +132,10 @@ def test_classify_unicyclic_g2():
 
 
 def test_classify_girth_matches_cycle_length():
-    for g in (2, 3, 4, 5):
+    for g in (2, 3, 4, 5, 80):
         rep = classify(gen.hypercycle(g, 3))
         assert rep.kind == "unicyclic"
-        assert rep.girth == g
+        assert rep.girth == g and rep.girth_status == "exact"
 
 
 def test_classify_2uniform_cycle():
@@ -147,12 +147,13 @@ def test_classify_multicyclic_is_other():
     rep = classify(gen.complete(4, 3))
     assert rep.kind == "other"
     assert rep.girth == 2  # two edges of K_4^(3) share two vertices
-
-
-def test_girth_budget_reports_undetermined():
-    G = gen.hypercycle(5, 3)  # girth 5, forcing a real search
-    g_val, status = ab.girth(G, budget=2)
-    assert g_val is None and status == "undetermined"
+    rep = classify(gen.complete(5, 2))  # linear with many cycles: length not computed
+    assert rep.kind == "other" and rep.girth is None and rep.girth_status == "at-least-3"
+    star = gen.hyperstar(3, 3)  # beside a disjoint edge and an isolated vertex
+    forest = build(3, star.n + 4, list(star.edges) + [[star.n, star.n + 1, star.n + 2]])
+    rep = classify(forest)
+    assert rep.kind == "other" and not rep.connected
+    assert rep.girth is None and rep.girth_status == "acyclic"
 
 
 def test_vertex_count_identities_on_generated_families():
@@ -373,9 +374,12 @@ def test_build_error_pins(edges, error, message, index):
     ("uhg 3 5 3\n0 1 2\n0 3 4\n", "header declares 3 edges but 2 edge lines found", 1),
     ("# c\n\nuhg 3 5 2\n# c\n0 1 2\n\n  # c2\n0 3 3\n", "edge 1 repeats a vertex: (0, 3, 3)", 8),
     ("# c\nuhg 3 2 1\n0 1 2\n", "vertex count n=2 must be >= k=3", 2),
+    ("uhg 3 5 2\r\n0 1 2\r\n0 1 1\r\n", "edge 1 repeats a vertex: (0, 1, 1)", 3),
+    # "\r\r\n" is two line breaks, not one.
+    ("uhg 3 5 2\r\r\n0 1 2\r\n0 1 1\r\n", "edge 1 repeats a vertex: (0, 1, 1)", 4),
 ], ids=["first-bad-edge", "duplicate-reordered", "negative", "beyond-int64", "token-count",
         "non-integer", "non-integer-before-count", "edge-count", "comments-and-blanks",
-        "header-values"])
+        "header-values", "crlf", "cr-before-crlf"])
 def test_parse_error_pins(text, message, line):
     with pytest.raises(UhgParseError) as exc:
         parse_uhg(text)
@@ -443,6 +447,8 @@ def test_plain_and_commented_texts_take_the_array_pass(monkeypatch):
     commented = "# head\n" + text.replace("\n", "\n  # note\n\n", 3) + "#"
     for t in (text, text.rstrip("\n"), text.replace(" ", "\t"), commented):
         assert parse_uhg(t) == G
+        assert parse_uhg(t.replace("\n", "\r\n")) == G
+        assert parse_uhg(t.replace("\n", "\r\n", 5)) == G
 
 
 def test_vertex_count_cap_is_checked_before_allocating():
@@ -467,11 +473,14 @@ def small_hypergraphs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_hypergraphs())
-def test_linearity_and_girth_two_match_pairwise_intersection(G):
+@given(small_hypergraphs(), st.randoms(use_true_random=False))
+def test_linearity_and_girth_two_match_pairwise_intersection(G, rnd):
     shares = shares_a_pair_by_pairs(G)
     assert ab.is_linear(G) is not shares
-    assert (ab.girth(G, budget=2000)[0] == 2) is shares
+    assert (classify(G).girth == 2) is shares
+    perm = list(range(G.n))
+    rnd.shuffle(perm)
+    assert classify(G) == classify(relabel(G, perm))
 
 
 @settings(max_examples=200, deadline=None)
