@@ -17,10 +17,9 @@ import math
 import os
 import sys
 
-from . import closed_forms as cf
-from . import generators as gen
-from . import verify as ver
-from .hypergraph import classify, parse_uhg, format_uhg
+# generators, closed_forms and verify are imported by the commands that
+# use them, so that the other commands do not load them.
+from .hypergraph import UniformHypergraph, classify, parse_uhg, format_uhg
 from .spectral import ConvergenceError, SolveOptions, spectral_radius
 from .tensor import Weighting, abc_index
 
@@ -48,37 +47,42 @@ def _flags(args, *names) -> list:
 
 
 POWER_BASES = {
-    "star": lambda args: gen.hyperstar(*_flags(args, "m"), 2),
-    "path": lambda args: gen.hyperpath(*_flags(args, "m"), 2),
-    "cycle": lambda args: gen.cycle_graph(*_flags(args, "g")),
-    "double-star": lambda args: FAMILIES["double-star"](args),
-    "unicyclic-graph": lambda args: gen.unicyclic_graph(*_flags(args, "m", "g")),
+    "star": lambda gen, args: gen.hyperstar(*_flags(args, "m"), 2),
+    "path": lambda gen, args: gen.hyperpath(*_flags(args, "m"), 2),
+    "cycle": lambda gen, args: gen.cycle_graph(*_flags(args, "g")),
+    "double-star": lambda gen, args: FAMILIES["double-star"](gen, args),
+    "unicyclic-graph": lambda gen, args: gen.unicyclic_graph(*_flags(args, "m", "g")),
 }
-"""The 2-uniform bases ``--family power --of`` takes."""
+"""The 2-uniform bases ``--family power --of`` takes, each built with
+the ``generators`` module passed in."""
 
 
-def _power(args) -> "gen.UniformHypergraph":
+def _power(gen, args) -> UniformHypergraph:
     of, k = _flags(args, "of", "k")
-    return gen.power(POWER_BASES[of](args), k)
+    return gen.power(POWER_BASES[of](gen, args), k)
 
 
 FAMILIES = {
-    "hyperstar": lambda args: gen.hyperstar(*_flags(args, "m", "k")),
-    "hyperpath": lambda args: gen.hyperpath(*_flags(args, "m", "k")),
-    "hypercycle": lambda args: gen.hypercycle(*_flags(args, "g", "k")),
-    "complete": lambda args: gen.complete(*_flags(args, "n", "k")),
-    "double-star": lambda args: gen.double_star(*_flags(args, "m"), args.a[0] if args.a else 1),
+    "hyperstar": lambda gen, args: gen.hyperstar(*_flags(args, "m", "k")),
+    "hyperpath": lambda gen, args: gen.hyperpath(*_flags(args, "m", "k")),
+    "hypercycle": lambda gen, args: gen.hypercycle(*_flags(args, "g", "k")),
+    "complete": lambda gen, args: gen.complete(*_flags(args, "n", "k")),
+    "double-star": lambda gen, args: gen.double_star(*_flags(args, "m"), args.a[0] if args.a else 1),
     "power": _power,
-    "s-comp": lambda args: gen.s_composition(*_flags(args, "m", "k", "a")),
-    "unicyclic": lambda args: gen.unicyclic_family(*_flags(args, "m", "k", "g", "a")),
-    "t-family": lambda args: gen.t_family(*_flags(args, "m", "idx")),
-    "example-h": lambda args: gen.example_h(*_flags(args, "idx")),
+    "s-comp": lambda gen, args: gen.s_composition(*_flags(args, "m", "k", "a")),
+    "unicyclic": lambda gen, args: gen.unicyclic_family(*_flags(args, "m", "k", "g", "a")),
+    "t-family": lambda gen, args: gen.t_family(*_flags(args, "m", "idx")),
+    "example-h": lambda gen, args: gen.example_h(*_flags(args, "idx")),
 }
+"""The ``--family`` builders, each built with the ``generators`` module
+passed in."""
 
 
-def load_graph(args) -> "gen.UniformHypergraph":
+def load_graph(args) -> UniformHypergraph:
     if getattr(args, "family", None):
-        return FAMILIES[args.family](args)
+        from . import generators
+
+        return FAMILIES[args.family](generators, args)
     if getattr(args, "file", None):
         if args.file == "-":
             return parse_uhg(sys.stdin.read())
@@ -97,6 +101,22 @@ def _add_family_flags(p: argparse.ArgumentParser, with_file: bool = True):
         p.add_argument(f"--{key}", type=int)
     p.add_argument("--a", type=_parse_comp, help="composition, e.g. '2,1,1'")
     p.add_argument("--of", choices=list(POWER_BASES), help="base family for --family power")
+
+
+class _ClosedFormNames:
+    """The names of ``closed_forms.CLOSED_FORMS``, sorted: the choices of
+    ``closed-form``.  argparse reads them only to check or print that
+    command's name, so only then is the module imported."""
+
+    def __iter__(self):
+        from .closed_forms import CLOSED_FORMS
+
+        return iter(sorted(CLOSED_FORMS))
+
+    def __contains__(self, name) -> bool:
+        from .closed_forms import CLOSED_FORMS
+
+        return name in CLOSED_FORMS
 
 
 class UsageError(ValueError):
@@ -143,7 +163,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("closed-form", help="evaluate a named closed form")
-    p.add_argument("name", choices=sorted(cf.CLOSED_FORMS))
+    # Set after add_argument, which would print the choices to test them.
+    p.add_argument("name").choices = _ClosedFormNames()
     for key in CLOSED_FORM_FLAGS:
         p.add_argument(f"--{key}", type=int)
     p.add_argument("--check", action="store_true",
@@ -225,6 +246,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
+    from . import closed_forms as cf
+
     params = {key: val for key in CLOSED_FORM_FLAGS if (val := getattr(args, key)) is not None}
     value = cf.closed_form(args.name, **params)
     record = {"name": args.name, "value": _f(value), **params}
@@ -238,6 +261,8 @@ def cmd_closed_form(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as ver
+
     prefix = "" if args.target == "all" else args.target
     results = ver.default_suite(m=args.m, k=args.k, g=args.g, prefix=prefix)
     if prefix and not results:

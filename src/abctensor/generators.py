@@ -24,7 +24,7 @@ import random
 from itertools import combinations
 from typing import Sequence
 
-from .canon import canonical_code
+from .canon import canonical_code, vertex_orbits
 from .hypergraph import UniformHypergraph, build, check_vertex_count
 
 
@@ -241,22 +241,28 @@ ENUM_BUDGET = {2: 8, 3: 6, 4: 5}
 
 def _grow(base: UniformHypergraph, steps: int) -> dict[bytes, UniformHypergraph]:
     """One representative per isomorphism class grown from ``base`` by
-    ``steps`` rounds of pendant-edge attachment at every vertex, keyed by
-    canonical code."""
+    ``steps`` rounds of pendant-edge attachment, keyed by canonical code.
+
+    Each round attaches at the least vertex of each automorphism orbit of
+    each representative, in ascending order: every vertex of an orbit
+    gives the same class, and the least comes first, so the classes and
+    their representatives are those of attaching at every vertex."""
     reps = {canonical_code(base): base}
     for _ in range(steps):
         grown: dict[bytes, UniformHypergraph] = {}
         for G in reps.values():
-            for v in range(G.n):
-                H = attach_pendant_edge(G, v)
-                grown.setdefault(canonical_code(H), H)
+            for v, least in enumerate(vertex_orbits(G)):
+                if v == least:
+                    H = attach_pendant_edge(G, v)
+                    grown.setdefault(canonical_code(H), H)
         reps = grown
     return reps
 
 
 def enumerate_hypertrees(m: int, k: int) -> list[UniformHypergraph]:
     """One representative per isomorphism class of k-uniform hypertrees
-    with m edges, grown by pendant-edge attachment with canonical dedupe.
+    with m edges, grown by pendant-edge attachment (one per automorphism
+    orbit) with canonical dedupe.
 
     Every hypertree is reachable this way: ordering its edges by breadth
     first search from any edge, each subsequent edge meets the previous

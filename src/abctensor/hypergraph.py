@@ -151,20 +151,36 @@ def build(k: int, n: int, edges: Iterable[Sequence[int]]) -> UniformHypergraph:
         raise _first_invalid_edge(k, n, edges) from None
     if A.ndim != 2 or A.shape[1] != k or A.dtype.kind not in "biu":
         raise _first_invalid_edge(k, n, edges)
-    S = np.sort(A, axis=1).astype(np.int64, copy=False)
+    S = A.astype(np.int64)
+    # Rows in normal order, such as a UHG file written by format_uhg,
+    # skip both sorts: strictly ascending rows repeat no vertex, and
+    # strictly increasing rows repeat no edge.
+    ascending = (S[:, 1:] > S[:, :-1]).all()
+    if not ascending:
+        S.sort(axis=1)
     # A negative id read as unsigned exceeds any n.
-    if S.view(np.uint64).max() >= n or (S[:, 1:] == S[:, :-1]).any():
+    if S.view(np.uint64).max() >= n or (not ascending and (S[:, 1:] == S[:, :-1]).any()):
         raise _first_invalid_edge(k, n, edges)
-    # Rows of nonnegative ids order lexicographically as their big-endian
-    # bytes; the stable sort takes one pass over rows already in order.
-    rows = S.astype(">i8").view(np.dtype((np.void, 8 * k))).ravel()
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    if (rows[1:] == rows[:-1]).any():
-        raise _first_invalid_edge(k, n, edges)
-    S = S[order]
+    if not (ascending and _rows_increase(S)):
+        # Rows of nonnegative ids order lexicographically as their
+        # big-endian bytes.
+        rows = S.astype(">i8").view(np.dtype((np.void, 8 * k))).ravel()
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        if (rows[1:] == rows[:-1]).any():
+            raise _first_invalid_edge(k, n, edges)
+        S = S[order]
     S.flags.writeable = False
     return UniformHypergraph(k=k, n=n, edge_array=S)
+
+
+def _rows_increase(S: np.ndarray) -> bool:
+    """Every row of S lexicographically less than the next: in the first
+    column where two rows differ, the lower one is larger.  S holds ids
+    in [0, n), so no difference overflows."""
+    d = S[1:] - S[:-1]
+    first = (d != 0).argmax(axis=1)
+    return bool((d[np.arange(len(d)), first] > 0).all())
 
 
 def _first_invalid_edge(k: int, n: int, edges) -> InvalidHypergraphError:
@@ -307,7 +323,7 @@ def classify(G: UniformHypergraph) -> StructureReport:
         kind = "unicyclic"
     else:
         kind = "other"
-    linear = is_linear(G)
+    linear = kind == "hypertree" or is_linear(G)  # a hypertree always is
 
     if not linear:
         g_val, g_status = 2, "exact"

@@ -68,6 +68,56 @@ def shares_a_pair_by_pairs(G: UniformHypergraph) -> bool:
     return any(len(set(a) & set(b)) >= 2 for a, b in itertools.combinations(G.edges, 2))
 
 
+def orbits_by_permutations(G: UniformHypergraph) -> list[int]:
+    """For each vertex, the least vertex of its automorphism orbit, from
+    all n! permutations that map the edge set onto itself.  Only for n
+    up to about 7."""
+    edges = set(G.edges)
+    least = list(range(G.n))
+    for p in itertools.permutations(range(G.n)):
+        if all(tuple(sorted(p[v] for v in e)) in edges for e in G.edges):
+            for v in range(G.n):
+                least[p[v]] = min(least[p[v]], v)
+    return least
+
+
+def grow_at_every_vertex(base: UniformHypergraph, steps: int) -> dict:
+    """Pendant-edge growth that attaches at every vertex of every
+    representative, keyed by canonical code in first-found order."""
+    from abctensor.canon import canonical_code
+    from abctensor.generators import attach_pendant_edge
+
+    reps = {canonical_code(base): base}
+    for _ in range(steps):
+        grown: dict = {}
+        for G in reps.values():
+            for v in range(G.n):
+                H = attach_pendant_edge(G, v)
+                grown.setdefault(canonical_code(H), H)
+        reps = grown
+    return reps
+
+
+def build_by_loop(k: int, n: int, edges) -> tuple:
+    """``build`` edge by edge: ("edges", the sorted rows of sorted ids) or
+    (error class name, edge index) for the first offending edge, checking
+    cardinality, repeated vertex, vertex range, then duplicate."""
+    seen = {}
+    for i, e in enumerate(edges):
+        e = [int(v) for v in e]
+        if len(e) != k:
+            return "EdgeCardinalityError", i
+        if len(set(e)) != k:
+            return "RepeatedVertexError", i
+        if any(not (0 <= v < n) for v in e):
+            return "VertexRangeError", i
+        key = tuple(sorted(e))
+        if key in seen:
+            return "DuplicateEdgeError", i
+        seen[key] = i
+    return "edges", tuple(sorted(seen))
+
+
 def contract_by_loop(G: UniformHypergraph, weights, x) -> np.ndarray:
     """(T x^{k-1})_i edge by edge, in the kernel's arithmetic order: per
     edge, prefix and suffix products, each term added into a zeroed out."""

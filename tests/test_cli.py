@@ -243,6 +243,15 @@ def test_usage_errors_keep_the_argparse_text_without_json(capsys):
     assert err.endswith("abctensor gen: error: argument --m: invalid int value: 'x'\n")
 
 
+def test_importing_the_cli_loads_no_subcommand_module():
+    # verify, closed_forms and generators load in the commands that use them.
+    code = ("import sys, abctensor.cli; print(sorted(m for m in sys.modules"
+            " if m in ('abctensor.verify', 'abctensor.closed_forms', 'abctensor.generators')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("read", [10, 0], ids=["after-10-bytes", "before-the-first-byte"])
 def test_a_closed_stdout_ends_quietly(read):
     # 343 KB of output, well past the 64 KB pipe buffer.

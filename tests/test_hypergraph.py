@@ -4,6 +4,7 @@ import itertools
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,15 @@ from abctensor import (
     parse_uhg,
 )
 from abctensor import generators as gen
-from helpers import connected_by_search, relabel, shares_a_pair_by_pairs
+from abctensor.canon import vertex_orbits
+from helpers import (
+    build_by_loop,
+    connected_by_search,
+    grow_at_every_vertex,
+    orbits_by_permutations,
+    relabel,
+    shares_a_pair_by_pairs,
+)
 
 
 def test_build_minimal_single_edge():
@@ -46,9 +55,11 @@ def test_build_sorts_edges_and_vertices():
 
 
 def test_build_rejects_duplicate_edge():
-    with pytest.raises(DuplicateEdgeError) as exc:
-        build(2, 3, [[0, 1], [1, 0]])
-    assert exc.value.edge_index == 1
+    # The last two are in normal order, which skips both sorts.
+    for edges in ([[0, 1], [1, 0]], [[0, 1], [0, 1]], np.array([[0, 2], [1, 2], [1, 2]])):
+        with pytest.raises(DuplicateEdgeError) as exc:
+            build(2, 3, edges)
+        assert exc.value.edge_index == len(edges) - 1
 
 
 def test_build_rejects_wrong_cardinality():
@@ -223,6 +234,8 @@ def test_canonical_code_has_no_vertex_cap():
     random.Random(2).shuffle(perm)
     assert canonical_code(relabel(G, perm)) == canonical_code(G)
     assert canonical_code(gen.hyperstar(40, 3)) != canonical_code(gen.hyperpath(40, 3))
+    # The cycle's vertices (even ids) form one orbit, the others another.
+    assert vertex_orbits(G) == [0, 1] * (G.n // 2)
 
 
 # Class counts found by a refinement and individualization search, an
@@ -252,6 +265,31 @@ def test_enumerated_classes_match_the_pinned_counts_and_keep_their_codes():
                     assert canonical_code(relabel(G, perm)) == code, (kind, k, m)
 
 
+def test_orbit_growth_gives_the_every_vertex_classes_in_order():
+    # Every pinned entry, and the k = 3 hypertrees at m = 7 and 8.
+    cases = [(build(3, 3, [range(3)]), m - 1) for m in (7, 8)]
+    for (kind, k), counts in PINNED_CLASS_COUNTS.items():
+        if kind == "hypertree":
+            cases += [(build(k, k, [range(k)]), m - 1) for m in range(1, len(counts) + 1)]
+        else:
+            cases += [(gen.hypercycle(g, k), m - g) for m in range(2, len(counts) + 2) for g in range(2, m + 1)]
+    for base, steps in cases:
+        assert list(gen._grow(base, steps).items()) == list(grow_at_every_vertex(base, steps).items())
+
+
+def test_vertex_orbits_match_the_automorphisms():
+    graphs = [G for k, top in ((2, 6), (3, 3), (4, 2), (5, 1))
+              for m in range(1, top + 1) for G in gen.enumerate_hypertrees(m, k)]
+    graphs += [G for k, top in ((3, 3), (4, 2))
+               for m in range(2, top + 1) for G in gen.enumerate_small_unicyclic(m, k)]
+    graphs += [gen.cycle_graph(g) for g in range(3, 8)]
+    graphs += [gen.unicyclic_graph(m, g) for g in (3, 4, 5) for m in range(g + 1, 8)]
+    # C_5 with pendant edges at 0 and 2: the reflection fixing 1 swaps them.
+    graphs.append(build(2, 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (2, 6)]))
+    for G in graphs:
+        assert vertex_orbits(G) == orbits_by_permutations(G), G
+
+
 @st.composite
 def relabeled_tree_or_unicyclic(draw):
     if draw(st.booleans()):
@@ -269,6 +307,23 @@ def relabeled_tree_or_unicyclic(draw):
 def test_canonical_code_is_relabel_invariant(case):
     G, perm = case
     assert canonical_code(relabel(G, perm)) == canonical_code(G)
+
+
+def _orbit_partition(G):
+    orbits: dict[int, set[int]] = {}
+    for v, least in enumerate(vertex_orbits(G)):
+        orbits.setdefault(least, set()).add(v)
+    return [frozenset(orbit) for orbit in orbits.values()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_tree_or_unicyclic())
+def test_vertex_orbits_are_relabel_invariant(case):
+    # The relabeling carries each orbit onto an orbit, so in particular
+    # the multiset of orbit sizes stays.
+    G, perm = case
+    image = {frozenset(perm[v] for v in orbit) for orbit in _orbit_partition(G)}
+    assert set(_orbit_partition(relabel(G, perm))) == image
 
 
 def test_single_edge_takes_the_tree_path_centered_on_the_edge():
@@ -477,10 +532,31 @@ def small_hypergraphs(draw):
 def test_linearity_and_girth_two_match_pairwise_intersection(G, rnd):
     shares = shares_a_pair_by_pairs(G)
     assert ab.is_linear(G) is not shares
+    assert classify(G).linear is not shares
     assert (classify(G).girth == 2) is shares
     perm = list(range(G.n))
     rnd.shuffle(perm)
     assert classify(G) == classify(relabel(G, perm))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_matches_the_edge_by_edge_reference(data):
+    k = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(k, 8))
+    rows = data.draw(st.lists(st.lists(st.integers(-1, n), min_size=k, max_size=k), min_size=1, max_size=8))
+    if data.draw(st.booleans()):  # normal order, which skips both sorts
+        rows = sorted(sorted(row) for row in rows)
+    A = np.array(rows, dtype=np.int64)
+    edges = A if data.draw(st.booleans()) else rows
+    expected = build_by_loop(k, n, rows)
+    try:
+        G = build(k, n, edges)
+    except InvalidHypergraphError as exc:
+        assert (type(exc).__name__, exc.edge_index) == expected
+    else:
+        assert ("edges", G.edges) == expected
+        assert A.flags.writeable and not np.shares_memory(A, G.edge_array)
 
 
 @settings(max_examples=200, deadline=None)
@@ -500,7 +576,11 @@ def test_is_connected_when_the_hub_has_the_largest_id():
     assert not is_connected(build(2, n, two_stars))
 
 
-def test_classify_hyperpath_with_1e5_edges():
+def test_classify_hyperpath_with_1e5_edges(monkeypatch):
+    def refuse(G):
+        raise AssertionError("a hypertree is linear by its kind")
+
+    monkeypatch.setattr(hypergraph, "is_linear", refuse)
     rep = classify(gen.hyperpath(10**5, 3))
     assert rep.kind == "hypertree" and rep.linear is True and rep.connected
 
