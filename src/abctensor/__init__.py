@@ -28,7 +28,6 @@ from .spectral import (
     NotConnectedError,
     SolveOptions,
     SpectralEstimate,
-    residual,
     spectral_radii,
     spectral_radius,
 )
@@ -36,10 +35,8 @@ from .tensor import (
     TensorOperator,
     Weighting,
     abc_index,
-    apply,
     edge_weight,
     edge_weights,
-    form,
     k_unit,
     omega,
 )

@@ -37,6 +37,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -94,10 +95,18 @@ class SolveOptions:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
+        if not _is_int(self.max_iters):
+            raise ValueError(f"max_iters must be an integer, not {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (math.isfinite(self.shift) and self.shift > 0):
             raise ValueError("shift must be positive and finite")
+        if not (self.seed is None or _is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be None or an integer >= 0, not {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -122,14 +131,11 @@ def _initial_vector(n: int, k: int, opts: SolveOptions) -> np.ndarray:
     return k_unit(rng.uniform(0.5, 1.5, size=n), k)
 
 
-def _as_operator(
-    G: Union[UniformHypergraph, TensorOperator], weighting: Optional[Weighting]
-) -> TensorOperator:
-    if isinstance(G, TensorOperator):
-        return G
-    if weighting is None:
-        raise TypeError("weighting required when passing a hypergraph")
-    return TensorOperator.from_weighting(G, weighting)
+def _as_operator(G, weighting) -> TensorOperator:
+    """G itself if it is an operator, else hypergraph G's operator under ``weighting``."""
+    if isinstance(G, TensorOperator) != (weighting is None):
+        raise TypeError("pass an operator alone, or a hypergraph and its weighting")
+    return G if weighting is None else TensorOperator.from_weighting(G, weighting)
 
 
 def spectral_radius(
@@ -139,6 +145,9 @@ def spectral_radius(
 ) -> SpectralEstimate:
     """Spectral radius and positive k-unit eigenvector, with a certified
     bracket ``lower <= rho <= upper`` of relative width ``opts.tol``.
+
+    G is an operator alone, or a hypergraph with a ``weighting``, a
+    member or its value; anything else raises TypeError or ValueError.
 
     ``opts.max_iters`` bounds the steps of both kinds; ``newton_steps`` of
     the result counts the Newton ones.  Each end carries the rounding
@@ -527,11 +536,3 @@ def residual_of(op: TensorOperator, rho: float, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     return float(np.max(np.abs(op.apply(x) - rho * x ** (op.k - 1))))
 
-
-def residual(
-    G: Union[UniformHypergraph, TensorOperator],
-    w: Optional[Weighting],
-    rho: float,
-    x: np.ndarray,
-) -> float:
-    return residual_of(_as_operator(G, w), rho, x)

@@ -37,6 +37,29 @@ class Weighting(str, enum.Enum):
     ABC = "abc"
     RANDIC = "randic"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"{value!r} is not a weighting; the weightings are {', '.join(cls)}")
+
+
+def _power_rule(w: Weighting, k: int, sums, prods):
+    """The weight ``base ** exponent`` under ``w`` of edges whose k degrees sum to
+    ``sums`` and multiply to ``prods``, as ``(base, exponent)``; arrays or scalars."""
+    if w is Weighting.ADJACENCY:
+        return 1.0, 1.0
+    if w is Weighting.ABC:
+        return (sums - k) / prods, 1.0 / k
+    if w is Weighting.RANDIC:
+        return prods, -1.0 / k
+
+
+def _edge_power(G: UniformHypergraph, e: int, w: Weighting):
+    """``_power_rule`` of edge e, 0 <= e < m, from its exact integer degrees."""
+    if not 0 <= e < G.m:
+        raise IndexError(f"edge {e} is out of range for a hypergraph of {G.m} edges")
+    d = [G.degree_list[v] for v in G.edge_array[e].tolist()]
+    return _power_rule(w, G.k, sum(d), math.prod(d))
+
 
 def omega(G: UniformHypergraph, e: int) -> float:
     """(sum of degrees in edge e - k) / (product of degrees in edge e).
@@ -44,21 +67,13 @@ def omega(G: UniformHypergraph, e: int) -> float:
     Computed in exact integer arithmetic, converting to float only at the
     final division.  Always >= 0; zero iff all k degrees are 1.
     """
-    d = G.degree_list
-    edge = G.edge_array[e].tolist()
-    num = sum(d[v] for v in edge) - G.k
-    den = math.prod(d[v] for v in edge)
-    return num / den
+    return _edge_power(G, e, Weighting.ABC)[0]
 
 
 def edge_weight(G: UniformHypergraph, e: int, w: Weighting) -> float:
-    if w is Weighting.ADJACENCY:
-        return 1.0
-    if w is Weighting.ABC:
-        return omega(G, e) ** (1.0 / G.k)
-    d = G.degree_list
-    den = math.prod(d[v] for v in G.edge_array[e].tolist())
-    return den ** (-1.0 / G.k)
+    """The weight of edge e under ``w``, a member or its value."""
+    base, exponent = _edge_power(G, e, Weighting(w))
+    return base**exponent
 
 
 _EXACT_PRODUCT = 2.0**53
@@ -76,15 +91,12 @@ def edge_weights(G: UniformHypergraph, w: Weighting) -> np.ndarray:
     Python's float power, which can differ from ``np.power`` in the last
     bit.
     """
+    w = Weighting(w)
     if w is Weighting.ADJACENCY:
         return np.ones(G.m)
-    k = G.k
     D = G.degree_array[G.edge_array]
     prod = D.prod(axis=1, dtype=np.float64)
-    if w is Weighting.ABC:
-        base, exponent = (D.sum(axis=1) - k) / prod, 1.0 / k
-    else:
-        base, exponent = prod, -1.0 / k
+    base, exponent = _power_rule(w, G.k, D.sum(axis=1), prod)
     out = np.fromiter(map(pow, base.tolist(), itertools.repeat(exponent)), np.float64, G.m)
     for e in np.flatnonzero(prod >= _EXACT_PRODUCT).tolist():
         out[e] = edge_weight(G, e, w)
@@ -114,6 +126,9 @@ class TensorOperator:
         return bool(np.all(self.weights == 0.0))
 
     def scaled(self, c: float) -> "TensorOperator":
+        """The operator with every weight times c, finite and >= 0."""
+        if not (math.isfinite(c) and c >= 0):
+            raise ValueError(f"scale factor must be finite and >= 0, not {c!r}")
         return TensorOperator(G=self.G, weights=self.weights * c)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -131,22 +146,16 @@ class TensorOperator:
         return float(x @ self.apply(x))
 
 
-def apply(G: UniformHypergraph, w: Weighting, x: np.ndarray) -> np.ndarray:
-    return TensorOperator.from_weighting(G, w).apply(x)
-
-
-def form(G: UniformHypergraph, w: Weighting, x: np.ndarray) -> float:
-    return TensorOperator.from_weighting(G, w).form(x)
-
-
 def abc_index(G: UniformHypergraph) -> float:
     """(1/(k-1)!) * sum over edges of omega(e)^(1/k)."""
     return sum(edge_weights(G, Weighting.ABC).tolist()) / math.factorial(G.k - 1)
 
 
 def k_unit(x: np.ndarray, k: int) -> np.ndarray:
-    """Rescale a nonnegative vector so sum x_i^k = 1."""
+    """Rescale a nonzero, nonnegative, finite vector so sum x_i^k = 1."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.all((0.0 <= x) & (x < math.inf)):
+        raise ValueError("cannot normalize a vector with a negative or non-finite entry")
     norm = float(np.sum(x**k)) ** (1.0 / k)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")

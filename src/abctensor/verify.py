@@ -44,7 +44,7 @@ from .generators import (
 from .hypergraph import UniformHypergraph, classify, degrees
 from .spectral import SolveOptions, SpectralEstimate, residual_of, spectral_radii
 from .spectral import spectral_radius  # noqa: F401  (perfbench/spans.py wraps this binding)
-from .tensor import TensorOperator, Weighting, abc_index, k_unit, omega
+from .tensor import TensorOperator, Weighting, abc_index, edge_weights, k_unit
 
 HOLDS = "holds"
 EQUALITY = "equality-attained"
@@ -103,9 +103,8 @@ def check_edge_sum_bounds(G: UniformHypergraph, opts=None) -> CheckResult:
 
 
 def _edge_sum_bounds(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
-    d = G.degree_list
-    sums = [sum(d[v] for v in e) - G.k for e in G.edges]
-    return _between("edge-sum-bounds", "edge sums constant", est, min(sums), max(sums), G.k)
+    sums = G.degree_array[G.edge_array].sum(axis=1) - G.k
+    return _between("edge-sum-bounds", "edge sums constant", est, int(sums.min()), int(sums.max()), G.k)
 
 
 def check_regular_corollary(G: UniformHypergraph, opts=None) -> CheckResult:
@@ -149,14 +148,9 @@ def check_mean_bound(G: UniformHypergraph, opts=None) -> CheckResult:
 def _mean_bound(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     k = G.k
     bound = math.factorial(k) * abc_index(G) / G.n
-    ival = _interval(est)
-    row = [0.0] * G.n
-    for ei, e in enumerate(G.edges):
-        w = omega(G, ei) ** (1.0 / k)
-        for v in e:
-            row[v] += w
-    constant_rows = max(row) - min(row) <= 1e-12 * max(1.0, max(row))
-    if ival[1] < bound - SLACK:
+    row = np.bincount(G.edge_array.ravel(), np.repeat(edge_weights(G, Weighting.ABC), k), G.n)
+    constant_rows = bool(row.max() - row.min() <= 1e-12 * max(1.0, row.max()))
+    if _interval(est)[1] < bound - SLACK:
         status = VIOLATED
     elif constant_rows:
         status = EQUALITY
@@ -183,13 +177,12 @@ def check_delta_bound(G: UniformHypergraph, opts=None) -> CheckResult:
 def _delta_bound(
     G: UniformHypergraph, abc_est: SpectralEstimate, adj_est: SpectralEstimate
 ) -> CheckResult:
-    dv = degrees(G)
-    k = G.k
-    factor = ((dv.max_degree - 1) / dv.max_degree) ** (1.0 / k)
+    k, cap = G.k, degrees(G).max_degree
+    factor = ((cap - 1) / cap) ** (1.0 / k)
     lhs = _interval(abc_est)
     rhs = (factor * adj_est.lower - SLACK, factor * adj_est.upper + SLACK)
-    target = (dv.max_degree - 1) / dv.max_degree
-    all_at_cap = all(abs(omega(G, e) - target) <= 1e-12 for e in range(G.m))
+    rows = G.degree_array[G.edge_array].tolist()  # Python ints: exact products
+    all_at_cap = all((sum(d) - k) * cap == (cap - 1) * math.prod(d) for d in rows)
     status = _le(lhs, rhs)
     if status != VIOLATED:
         status = EQUALITY if all_at_cap else HOLDS
@@ -235,8 +228,7 @@ def check_randic_unit(G: UniformHypergraph, opts=None) -> CheckResult:
 
 
 def _randic_unit(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
-    d = np.array(G.degree_list, dtype=float)
-    x = k_unit(d ** (1.0 / G.k), G.k)
+    x = k_unit(G.degree_array ** (1.0 / G.k), G.k)
     res = residual_of(TensorOperator.from_weighting(G, Weighting.RANDIC), 1.0, x)
     ival = _interval(est)
     ok = ival[0] <= 1.0 <= ival[1] and res <= 1e-10

@@ -136,6 +136,14 @@ def contract_by_loop(G: UniformHypergraph, weights, x) -> np.ndarray:
     return out
 
 
+def estimate_fields(est) -> tuple:
+    """Every field of a SpectralEstimate, the eigenvector by its bytes,
+    so that two estimates compare equal only bit for bit."""
+    x = est.eigenvector
+    return (est.rho, est.lower, est.upper, est.iters, est.newton_steps, est.residual,
+            x.dtype, x.shape, x.tobytes())
+
+
 def solve_by_single_loop(op, opts):
     """The solver as one loop over one operator, with 1-D arrays: power
     steps, the switch rule, Newton–Noda steps with theta halvings and the

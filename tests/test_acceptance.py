@@ -16,7 +16,7 @@ from abctensor import closed_forms as cf
 from abctensor import generators as gen
 from abctensor import verify as ver
 from abctensor.spectral import spectral_radius
-from abctensor.tensor import Weighting, form, k_unit
+from abctensor.tensor import TensorOperator, Weighting, k_unit
 from helpers import dense_form
 
 ABC = Weighting.ABC
@@ -252,6 +252,6 @@ def test_criterion_9_dense_oracle_equivalence():
         count += 1
         x = rng.uniform(-1.0, 1.0, size=G.n)
         w = (ABC, ADJ, RND)[count % 3]
-        worst = max(worst, abs(form(G, w, x) - dense_form(G, w, x)))
+        worst = max(worst, abs(TensorOperator.from_weighting(G, w).form(x) - dense_form(G, w, x)))
     _report("C9 dense-contraction oracle equivalence (20 pairs)", worst <= 1e-10,
             f"worst |diff|={worst:.2e}")

@@ -18,11 +18,10 @@ from abctensor.spectral import (
     SolveOptions,
     _bordered_matrices,
     _Stack,
-    residual,
     residual_of,
     spectral_radius,
 )
-from abctensor.tensor import TensorOperator, Weighting, form, k_unit
+from abctensor.tensor import TensorOperator, Weighting, k_unit
 
 from helpers import dense_apply, relabel
 
@@ -86,16 +85,17 @@ def test_bracket_and_vector_contract():
 def test_residual_exact_pair():
     G = build(3, 3, [[0, 1, 2]])
     x = k_unit(np.ones(3), 3)
-    assert residual(G, ADJ, 1.0, x) <= 1e-14
+    assert residual_of(TensorOperator.from_weighting(G, ADJ), 1.0, x) <= 1e-14
 
 
 def test_residual_detects_perturbation():
     G = gen.hyperstar(4, 3)
-    est = spectral_radius(G, ABC)
-    base = residual(G, ABC, est.rho, est.eigenvector)
+    op = TensorOperator.from_weighting(G, ABC)
+    est = spectral_radius(op)
+    base = residual_of(op, est.rho, est.eigenvector)
     bumped = est.eigenvector.copy()
     bumped[1] += 0.1
-    assert residual(G, ABC, est.rho, bumped) > base
+    assert residual_of(op, est.rho, bumped) > base
 
 
 def test_rayleigh_lower_bound():

@@ -21,19 +21,13 @@ from abctensor.spectral import (
 )
 from abctensor.tensor import TensorOperator, Weighting
 
-from helpers import solve_by_single_loop
+from helpers import estimate_fields, solve_by_single_loop
 
 ABC = Weighting.ABC
 ADJ = Weighting.ADJACENCY
 RND = Weighting.RANDIC
 
 SINGLE_EDGE = build(3, 3, [[0, 1, 2]])  # every abc weight is zero
-
-
-def _fields(est):
-    x = est.eigenvector
-    return (est.rho, est.lower, est.upper, est.iters, est.newton_steps, est.residual,
-            x.dtype, x.shape, x.tobytes())
 
 
 def _assert_batch_equals_singles(problems, opts):
@@ -56,7 +50,7 @@ def _assert_batch_equals_singles(problems, opts):
     batch = spectral_radii(problems, opts)
     assert len(batch) == len(problems)
     for est, alone in zip(batch, singles):
-        assert _fields(est) == _fields(alone)
+        assert estimate_fields(est) == estimate_fields(alone)
     return failed
 
 
@@ -105,7 +99,7 @@ def test_a_batch_of_one_is_the_single_loop_bit_for_bit(G, w, seed, tol):
         assert (info.value.lower, info.value.upper, info.value.iters) == (want.lower, want.upper, want.iters)
         return
     want = (rho, lower, upper, iters, newton_steps, residual, x.dtype, x.shape, x.tobytes())
-    assert _fields(spectral_radius(op, opts=opts)) == want
+    assert estimate_fields(spectral_radius(op, opts=opts)) == want
 
 
 def test_zero_member_comes_back_at_rho_zero_among_others():
@@ -168,9 +162,9 @@ def test_singular_system_sends_only_its_member_to_power_steps(monkeypatch):
     clean = [spectral_radius(op) for op in ops]
     monkeypatch.setattr(spectral, "_bordered_matrices", singular_for_target)
     batch = spectral_radii(ops)
-    assert [_fields(e) for e in batch] == [_fields(spectral_radius(op)) for op in ops]
+    assert [estimate_fields(e) for e in batch] == [estimate_fields(spectral_radius(op)) for op in ops]
     assert batch[1].newton_steps == 0 < clean[1].newton_steps
-    assert [_fields(batch[b]) for b in (0, 2)] == [_fields(clean[b]) for b in (0, 2)]
+    assert [estimate_fields(batch[b]) for b in (0, 2)] == [estimate_fields(clean[b]) for b in (0, 2)]
 
 
 def test_solve_stack_masks_only_the_singular_systems():

@@ -14,9 +14,7 @@ from abctensor.tensor import (
     TensorOperator,
     Weighting,
     abc_index,
-    apply,
     edge_weight,
-    form,
     k_unit,
     omega,
 )
@@ -50,7 +48,7 @@ def test_edge_weight_rules():
 
 def test_apply_single_edge_adjacency_identity():
     G = build(3, 3, [[0, 1, 2]])
-    out = apply(G, Weighting.ADJACENCY, np.ones(3))
+    out = TensorOperator.from_weighting(G, Weighting.ADJACENCY).apply(np.ones(3))
     assert out == pytest.approx([1.0, 1.0, 1.0])
 
 
@@ -59,30 +57,31 @@ def test_apply_randic_degree_eigenvector():
     for G in (gen.hyperstar(2, 3), gen.s_composition(5, 3, (2, 1, 1)), gen.hypercycle(4, 4)):
         d = np.array(G.degree_list, dtype=float)
         x = d ** (1.0 / G.k)
-        out = apply(G, Weighting.RANDIC, x)
+        out = TensorOperator.from_weighting(G, Weighting.RANDIC).apply(x)
         assert out == pytest.approx(x ** (G.k - 1), abs=1e-12)
 
 
 def test_apply_zero_vector():
     G = gen.hyperstar(3, 3)
-    assert np.all(apply(G, Weighting.ABC, np.zeros(G.n)) == 0.0)
+    assert np.all(TensorOperator.from_weighting(G, Weighting.ABC).apply(np.zeros(G.n)) == 0.0)
 
 
 def test_apply_homogeneous_of_degree_k_minus_1():
     rng = np.random.default_rng(3)
     for k in (2, 3, 4):
         G = gen.random_hypertree(4, k, seed=k)
+        op = TensorOperator.from_weighting(G, Weighting.ABC)
         x = rng.uniform(0.1, 1.0, size=G.n)
         for c in (0.5, 2.0, 3.7):
-            lhs = apply(G, Weighting.ABC, c * x)
-            rhs = c ** (k - 1) * apply(G, Weighting.ABC, x)
+            lhs = op.apply(c * x)
+            rhs = c ** (k - 1) * op.apply(x)
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_form_single_edge_all_ones_is_k():
     for k in (2, 3, 4, 5):
         G = build(k, k, [list(range(k))])
-        assert form(G, Weighting.ADJACENCY, np.ones(k)) == pytest.approx(k)
+        assert TensorOperator.from_weighting(G, Weighting.ADJACENCY).form(np.ones(k)) == pytest.approx(k)
 
 
 def test_form_uniform_vector_equals_mean_formula():
@@ -91,12 +90,12 @@ def test_form_uniform_vector_equals_mean_formula():
         n, k = G.n, G.k
         x = np.full(n, n ** (-1.0 / k))
         expect = k * sum(omega(G, e) ** (1.0 / k) for e in range(G.m)) / n
-        assert form(G, Weighting.ABC, x) == pytest.approx(expect, rel=1e-12)
+        assert TensorOperator.from_weighting(G, Weighting.ABC).form(x) == pytest.approx(expect, rel=1e-12)
 
 
 def test_form_zero_vector():
     G = gen.hyperstar(3, 3)
-    assert form(G, Weighting.ABC, np.zeros(G.n)) == 0.0
+    assert TensorOperator.from_weighting(G, Weighting.ABC).form(np.zeros(G.n)) == 0.0
 
 
 def test_abc_index_values():
@@ -170,7 +169,7 @@ def test_form_matches_dense_oracle():
         count += 1
         x = rng.uniform(-1.0, 1.0, size=G.n)
         for w in (Weighting.ADJACENCY, Weighting.ABC, Weighting.RANDIC):
-            assert form(G, w, x) == pytest.approx(dense_form(G, w, x), abs=1e-10)
+            assert TensorOperator.from_weighting(G, w).form(x) == pytest.approx(dense_form(G, w, x), abs=1e-10)
     assert count == 20
 
 
@@ -181,7 +180,7 @@ def test_apply_matches_dense_oracle():
         if G.n > 8:
             continue
         x = rng.uniform(0.0, 1.0, size=G.n)
-        got = apply(G, Weighting.ABC, x)
+        got = TensorOperator.from_weighting(G, Weighting.ABC).apply(x)
         want = dense_apply(G, Weighting.ABC, x)
         assert got == pytest.approx(want, abs=1e-10)
 
