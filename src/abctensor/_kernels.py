@@ -66,7 +66,7 @@ def contract(edge_idx: np.ndarray, weights: np.ndarray, x: np.ndarray, out: np.n
     # operation.  The range is checked above, so "wrap" never wraps; it
     # only spares take() the copy that "raise" buffers its output in.
     X, pref, suff, contrib = work.X, work.pref, work.suff, work.contrib
-    np.take(x, work.idx, out=X, mode="wrap")
+    x.take(work.idx, out=X, mode="wrap")
     for j in range(1, k):
         np.multiply(pref[j - 1], X[j - 1], out=pref[j])
         np.multiply(suff[-j], X[-j], out=suff[-j - 1])

@@ -216,24 +216,31 @@ def degrees(G: UniformHypergraph) -> DegreeVector:
 
 
 def is_connected(G: UniformHypergraph) -> bool:
-    """Every pair of vertices joined by a path of overlapping edges.
+    """Every pair of vertices joined by a path of overlapping edges."""
+    # Vertex 0 is the smallest id, so it is the root of its component.
+    return not _component_roots(G.edge_array, G.n).any()
+
+
+def _component_roots(E: np.ndarray, n: int) -> np.ndarray:
+    """The least vertex of each vertex's component, for the (m, k) edge
+    array E on the vertices 0..n-1.
 
     Union-find over whole arrays: each round hooks every root onto the
     smallest root it shares an edge with, if that one is smaller, then
     jumps pointers until every vertex points at its root.  A root that
     is not hooked in a round gets a smaller neighbour root in the next,
     so the number of roots halves at least every two rounds, whatever
-    the diameter.
+    the diameter.  No pointer ever grows, so each root is the least
+    vertex of its component.
     """
-    E = G.edge_array
-    u = np.repeat(E[:, 0], G.k - 1)
+    u = np.repeat(E[:, 0], E.shape[1] - 1)
     v = E[:, 1:].ravel()
-    parent = np.arange(G.n)
+    parent = np.arange(n)
     while True:
         pu, pv = parent[u], parent[v]
         split = pu != pv
         if not split.any():
-            break
+            return parent
         pu, pv = pu[split], pv[split]
         np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
         while True:
@@ -241,8 +248,6 @@ def is_connected(G: UniformHypergraph) -> bool:
             if (grand == parent).all():
                 break
             parent = grand
-    # Vertex 0 is the smallest id, so it stays the root of its component.
-    return not parent.any()
 
 
 def _shares_a_pair(G: UniformHypergraph) -> bool:

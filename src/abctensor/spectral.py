@@ -23,13 +23,14 @@ solve.  Newton brackets end a few ulps wide, below the rounding error of
 a computed ratio, so a bracket that narrow is widened by that error.
 
 ``spectral_radii`` is the one loop; ``spectral_radius`` is a batch of
-one.  It groups its operators by (n, k), and the members of a group take
-every step in lock step: each member keeps its own bracket, switch rule
-and kind of step, each contraction is one kernel call on the edges of
-the members taking that step, renumbered so member b's vertex v is
-b*n + v, and each Newton step solves the members' bordered systems as
-one stack.  A member leaves when its own bracket closes, so every
-estimate equals a solve of that operator alone, bit for bit.
+one.  It stacks its operators by edge size k, and the members of a
+stack take every step in lock step.  Each member keeps its own bracket,
+switch rule and kind of step.  The members lie in the stack sorted by
+n, member b's vertex v numbered start[b] + v, so each contraction is one
+kernel call on the edges of the members taking that step, and each
+Newton step factors the bordered systems of each run of equal n as one
+stack.  A member leaves when its own bracket closes, so every estimate
+equals a solve of that operator alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,17 +45,18 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .hypergraph import UniformHypergraph
-from .tensor import TensorOperator, Weighting, k_unit
+from .hypergraph import UniformHypergraph, _component_roots
+from .tensor import TensorOperator, Weighting, _degree_weights, edge_weights, k_unit
 
 
 NEWTON_MAX_N = 4096
 """Largest n given Newton steps.  Their dense bordered system holds
 (n+1)^2 doubles, 128 MB at this n, and ``np.linalg.solve`` factors a copy
 of it, so a step peaks at about 2 (n+1)^2 doubles (256 MB) plus the
-m*k*(k-1) vertex-pair arrays.  Larger inputs stay on power steps.  A
-lock-step group stacks at most (NEWTON_MAX_N+1)^2 doubles of systems at
-once, so the same bound holds for a batch."""
+m*k*(k-1) vertex-pair arrays.  Larger inputs stay on power steps.  The
+lock-step stack of one k builds its members' systems in chunks of at
+most (NEWTON_MAX_N+1)^2 doubles, summed as sum_b (n_b+1)^2, so the same
+bound holds for a batch."""
 
 _WINDOW = 4
 """Power steps over which the contraction rate of the ratio spread is read."""
@@ -138,6 +140,16 @@ def _as_operator(G, weighting) -> TensorOperator:
     return G if weighting is None else TensorOperator.from_weighting(G, weighting)
 
 
+def _as_problem(i: int, p) -> tuple:
+    """Problem i as a (hypergraph, weights or Weighting) pair."""
+    if isinstance(p, TensorOperator):
+        return p.G, p.weights
+    if isinstance(p, (tuple, list)) and len(p) == 2 and isinstance(p[0], UniformHypergraph) and p[1] is not None:
+        return p[0], Weighting(p[1])
+    kind = f"({', '.join(type(q).__name__ for q in p)})" if isinstance(p, (tuple, list)) else type(p).__name__
+    raise TypeError(f"problem {i} is {kind}: a problem is a TensorOperator or a (hypergraph, weighting) pair")
+
+
 def spectral_radius(
     G: Union[UniformHypergraph, TensorOperator],
     weighting: Optional[Weighting] = None,
@@ -174,235 +186,340 @@ def spectral_radii(
     weighting) pair, each estimate equal bit for bit to a solve of that
     problem alone.
 
-    The problems of one (n, k) are solved together: every member takes
+    The problems of one k are solved as one stack: every member takes
     each step in lock step with the others, and leaves when its own
-    bracket closes.  NotConnectedError is raised for the first
+    bracket closes.  TypeError names the first problem that is neither an
+    operator nor such a pair.  NotConnectedError is raised for a
     disconnected problem before any step; ConvergenceError for the first
     problem, in input order, that fails, after all are solved.
     """
-    ops = [p if isinstance(p, TensorOperator) else _as_operator(*p) for p in problems]
-    if not all(op.G.connected for op in ops):
+    problems = [_as_problem(i, p) for i, p in enumerate(problems)]
+    by_k: dict = {}
+    for i, (G, _) in enumerate(problems):
+        by_k.setdefault(G.k, []).append(i)
+    stacks = []
+    for index in by_k.values():
+        index.sort(key=lambda i: problems[i][0].n)
+        stacks.append((index, _Stack([problems[i] for i in index])))
+    if not all(stack.connected() for _, stack in stacks):
         raise NotConnectedError("hypergraph is not connected")
-    out: list = [None] * len(ops)
-    groups: dict = {}
-    for i, op in enumerate(ops):
-        if op.is_zero():
-            out[i] = SpectralEstimate(0.0, _initial_vector(op.n, op.k, opts), 0.0, 0.0, 0, 0.0, 0)
-        else:
-            groups.setdefault((op.n, op.k), []).append(i)
-    for members in groups.values():
-        for i, est in zip(members, _solve_group([ops[i] for i in members], opts)):
+    out: list = [None] * len(problems)
+    for index, stack in stacks:
+        for i, est in zip(index, _solve(stack, opts)):
             out[i] = est
     for i, est in enumerate(out):
         if isinstance(est, ConvergenceError):
-            if len(ops) > 1:
+            if len(out) > 1:
                 est.args = (f"problem {i}: {est}",)
             raise est
     return out
 
 
-class _Member:
-    """One problem's own state in a lock-step group: its best Collatz
-    bounds so far (shifted), the spreads its switch rule reads, its kind
-    of step and, once its bracket closes or it stalls, its outcome."""
-
-    def __init__(self, op, newton_allowed):
-        self.op, self.newton_allowed, self.newton, self.newton_steps = op, newton_allowed, False, 0
-        self.lo, self.up, self.outcome = -math.inf, math.inf, None
-        self.spreads = collections.deque(maxlen=_WINDOW + 1)
-
-    def track(self, lo, hi, opts) -> bool:
-        """Take one step's ratio bounds; False once the bracket is within
-        tolerance, else decide whether Newton steps pay from here on."""
-        self.lo = max(self.lo, lo)
-        self.up = min(self.up, hi)
-        target = opts.tol * max(1.0, self.up - opts.shift)
-        if self.up - self.lo <= target:
-            return False
-        if self.newton_allowed and not self.newton:
-            self.spreads.append(hi - lo)
-            self.newton = len(self.spreads) > _WINDOW and _newton_pays(
-                self.op, self.spreads[0], hi - lo, target
-            )
-        return True
-
-    def finish(self, x, iters, s):
-        """Keep ``(rho, x, lower, upper, iters)``, the certified bracket
-        widened where it is narrower than rounding, or a ConvergenceError
-        when that bracket admits rho <= 0."""
-        lower, upper = sorted((self.lo - s, self.up - s))  # rounding may cross them
-        rho = (lower + upper) / 2.0
-        pad = _ratio_error(self.op, self.up)
-        if upper - lower < 2.0 * pad:
-            lower, upper = lower - pad, upper + pad
-        self.outcome = (rho, x, lower, upper, iters)
-        if lower <= 0.0:
-            self.outcome = ConvergenceError(
-                f"bracket [{lower:.17g}, {upper:.17g}] admits rho <= 0 after {iters} "
-                f"iterations: the shift {s:g} swamps every digit of rho; lower the shift",
-                lower, upper, iters,
-            )
-
-    def stall(self, opts):
-        lower, upper, iters = self.lo - opts.shift, self.up - opts.shift, opts.max_iters
-        self.outcome = ConvergenceError(
-            f"bracket still {self.up - self.lo:.3e} wide after {iters} iterations "
-            f"(lower={lower:.17g}, upper={upper:.17g}, iters={iters})",
-            lower, upper, iters,
-        )
-
-
 class _Stack:
-    """The operators of one (n, k) as one operator on B*n vertices, member
-    b's vertex v numbered b*n + v, so that one kernel call contracts any
-    subset of them.  A subset of one is its own operator's arrays.  Each
-    subset kept has its own kernel workspace, so a stack belongs to one
-    solve."""
+    """The (hypergraph, weights or Weighting) problems of one k, sorted
+    by n, as one operator: member b's vertex v is numbered start[b] + v,
+    so that one kernel call contracts the members of any subset,
+    renumbered from 0 the same way.  The weights, the connectivity test
+    and the zero test are done once for all members; a stack of one
+    keeps its hypergraph's own edge array.  Each subset kept has its own
+    kernel workspace, so a stack belongs to one solve."""
 
-    def __init__(self, ops):
-        self.ops, self.n, self.k = ops, ops[0].n, ops[0].k
-        if len(ops) > 1:
-            self._edges = np.concatenate([op.G.edge_array for op in ops])
-            self._weights = np.concatenate([op.weights for op in ops])
-            self._owner = np.repeat(np.arange(len(ops)), [op.G.m for op in ops])
-        self._cache = {}
+    def __init__(self, problems):
+        self.graphs = [G for G, _ in problems]
+        self.k = self.graphs[0].k
+        self.sizes = np.array([G.n for G in self.graphs])
+        self.cut = np.cumsum([0] + [G.m for G in self.graphs]).tolist()  # member b's edges
+        self._cache: dict = {}
+        if len(problems) == 1:
+            ((G, w),) = problems
+            self.edges, degrees = G.edge_array, G.degree_array
+            self.weights = w if isinstance(w, np.ndarray) else edge_weights(G, w)
+            self.starts, self.owner = np.zeros(1, dtype=int), None
+        else:
+            self.starts = np.cumsum(self.sizes) - self.sizes
+            self.owner = np.repeat(np.arange(len(problems)), np.diff(self.cut))
+            self.edges = np.concatenate([G.edge_array for G in self.graphs])
+            self.edges += self.starts[self.owner][:, None]
+            degrees = np.bincount(self.edges.ravel(), minlength=int(self.sizes.sum()))
+            self.weights = self._weigh(problems, degrees)
+        self.max_degree = np.maximum.reduceat(degrees, self.starts).tolist()
 
-    def arrays(self, members):
-        """Edges, weights and kernel workspace of ``members`` (ascending
-        group indices), member ``members[b]`` renumbered to the vertices
-        b*n + v; the last few member sets are kept."""
+    def _weigh(self, problems, degrees):
+        """The weights of every member's edges: a given array as it is,
+        else one ``_degree_weights`` call per weighting over the stacked
+        degrees, equal bit for bit to ``edge_weights``."""
+        W = np.empty(len(self.edges))
+        rules: dict = {}
+        for b, (_, w) in enumerate(problems):
+            if isinstance(w, np.ndarray):
+                W[self.cut[b] : self.cut[b + 1]] = w
+            else:
+                rules.setdefault(w, []).append(b)
+        for w, members in rules.items():
+            mask = np.zeros(len(problems), dtype=bool)
+            mask[members] = True
+            rows = mask[self.owner]
+            W[rows] = 1.0 if w is Weighting.ADJACENCY else _degree_weights(degrees[self.edges[rows]], self.k, w)
+        return W
+
+    def connected(self) -> bool:
+        """Whether every member is connected: its least vertex is the root
+        of all of its vertices."""
+        if len(self.graphs) == 1:
+            return self.graphs[0].connected
+        roots = _component_roots(self.edges, int(self.sizes.sum()))
+        return bool(np.array_equal(roots, np.repeat(self.starts, self.sizes)))
+
+    def weighted(self) -> np.ndarray:
+        """Whether each member has a nonzero weight."""
+        if len(self.graphs) == 1:
+            return np.array([not np.all(self.weights == 0.0)])
+        return np.bincount(self.owner[self.weights != 0.0], minlength=len(self.graphs)) > 0
+
+    def subset(self, members) -> "_Subset":
+        """The layout of ``members`` (ascending positions); the last few are kept."""
         key = members.tobytes()
-        if key not in self._cache:
+        sub = self._cache.get(key)
+        if sub is None:
             if len(self._cache) >= 4:
                 self._cache.clear()
-            if len(members) == 1:
-                op = self.ops[members[0]]
-                E, W = op.G.edge_array, op.weights
-            else:
-                slot = np.full(len(self.ops), -1)
-                slot[members] = np.arange(len(members))
-                at = slot[self._owner]
-                keep = at >= 0
-                E, W = self._edges[keep] + (at[keep] * self.n)[:, None], self._weights[keep]
-            self._cache[key] = E, W, _kernels.Workspace(E)
-        return self._cache[key]
+            sub = self._cache[key] = _Subset(self, members)
+        return sub
 
-    def apply(self, members, X):
-        """``T x^{k-1}`` of each row x of X, row b under ``members[b]``."""
+
+class _Subset:
+    """Some members of a stack, numbered from 0 as the stack numbers all
+    of them: their ``sizes``, first vertices ``starts``, ``runs`` of
+    equal n as (first vertex, end, count, n), edges, weights, kernel
+    workspace, each edge's member ``owner`` (None in a stack of one) and
+    each member's first edge ``cut``.  A subset keeps no reference to its
+    stack, so the two form no cycle."""
+
+    def __init__(self, stack, members):
+        self.k, self.sizes = stack.k, stack.sizes[members]
+        ends = np.cumsum(self.sizes)
+        self.starts = ends - self.sizes
+        cut = [0, *((self.sizes[1:] != self.sizes[:-1]).nonzero()[0] + 1).tolist(), len(members)]
+        first = [*self.starts[cut[:-1]].tolist(), int(ends[-1])]
+        self.runs = [(first[r], first[r + 1], cut[r + 1] - cut[r], int(self.sizes[cut[r]])) for r in range(len(cut) - 1)]
+        self._chunks = None
+        if len(members) == len(stack.sizes):
+            E, W, self.owner, self.cut = stack.edges, stack.weights, stack.owner, stack.cut
+        else:
+            self.cut = [0, *np.cumsum(np.diff(stack.cut)[members]).tolist()]
+            slot = np.full(len(stack.sizes), -1)
+            slot[members] = np.arange(len(members))
+            at = slot[stack.owner]
+            keep = at >= 0
+            self.owner = at[keep]
+            E = stack.edges[keep] - (stack.starts[members] - self.starts)[self.owner][:, None]
+            W = stack.weights[keep]
+        self.edges, self.weights, self.work = E, W, _kernels.Workspace(E)
+
+    def rep(self, values):
+        """One value per member, spread over its vertices: the bare value
+        for a single member, whose arithmetic then skips broadcasting."""
+        return values[0] if len(self.sizes) == 1 else np.repeat(values, self.sizes)
+
+    def chunks(self):
+        """The members in chunks for Newton steps, computed once: runs of
+        consecutive members of one n whose bordered systems take at most
+        ``(NEWTON_MAX_N + 1)^2`` doubles, at least one member each, as
+        (first member, end member, n, vertex slice, edge slice); and, for
+        each edge, the n + 1 and the base at which the cell (u, v) of its
+        member's system lies at base + u (n + 1) + v in its chunk."""
+        if self._chunks is None:
+            verts, block, chunks, first = [*self.starts.tolist(), self.runs[-1][1]], np.empty_like(self.sizes), [], 0
+            for _, _, count, n in self.runs:
+                per = max(1, (NEWTON_MAX_N + 1) ** 2 // (n + 1) ** 2)
+                for a in range(first, first + count, per):
+                    b = min(a + per, first + count)
+                    chunks.append((a, b, n, slice(verts[a], verts[b]), slice(self.cut[a], self.cut[b])))
+                    block[a:b] = np.arange(b - a) * (n + 1) ** 2
+                first += count
+            side, base = self.sizes + 1, block - self.starts * (self.sizes + 2)
+            if len(self.sizes) == 1:
+                self._chunks = chunks, side[0], base[0]
+            else:
+                self._chunks = chunks, side[self.owner][:, None], base[self.owner][:, None]
+        return self._chunks
+
+    def apply(self, X):
+        """``T x^{k-1}`` of each member's vector x in X."""
         out = np.zeros(X.shape)
-        E, W, work = self.arrays(members)
-        _kernels.contract(E, W, X.ravel(), out.ravel(), work=work)
+        _kernels.contract(self.edges, self.weights, X, out, work=self.work)
         return out
 
-    def evaluate(self, members, X, s):
+    def evaluate(self, X, s):
         """``x^{[k-1]}`` and the shifted image ``T x^{k-1} + s x^{[k-1]}``
-        of each row x of X."""
+        of each member's vector x in X; the contraction adds into
+        ``s x^{[k-1]}``, which rounds as adding that to it does."""
         XK1 = X ** (self.k - 1)
-        return XK1, self.apply(members, X) + s * XK1
+        Y = s * XK1
+        _kernels.contract(self.edges, self.weights, X, Y, work=self.work)
+        return XK1, Y
 
 
-def _solve_group(ops, opts) -> list:
-    """The estimate, or the ConvergenceError, of each nonzero connected
-    operator of one (n, k), all stepped in lock step.
+def _solve(stack, opts) -> list:
+    """The estimate, or the ConvergenceError, of each member of one
+    stack, all stepped in lock step.
 
-    Row b of X, XK1 and Y is the state of member ``live[b]``, whose index
-    in the group is ``idx[b]``; rows leave when their brackets close.
-    Each step contracts the rows that take it in one call, and the
+    X, XK1, Y and R hold the vectors of the live members end to end, as
+    ``sub`` numbers them; entry b of each per-member list is the state of
+    member ``live[b]``.  Members leave when their brackets close.  Each
+    step contracts the members that take it in one call, and the
     residuals take one more at the end.
     """
-    stack = _Stack(ops)
-    n, k, s = stack.n, stack.k, opts.shift
-    group = [_Member(op, n <= NEWTON_MAX_N) for op in ops]
-    live, idx = group, np.arange(len(ops))
-    X = np.tile(_initial_vector(n, k, opts), (len(ops), 1))
-    XK1, Y = stack.evaluate(idx, X, s)
+    k, s = stack.k, opts.shift
+    out: list = [None] * len(stack.graphs)
+    weighted = stack.weighted()
+    for b in (~weighted).nonzero()[0].tolist():
+        out[b] = SpectralEstimate(0.0, _initial_vector(int(stack.sizes[b]), k, opts), 0.0, 0.0, 0, 0.0, 0)
+    live = weighted.nonzero()[0]
+    if not len(live):
+        return out
+    sub = stack.subset(live)
+    X = np.concatenate([np.tile(_initial_vector(n, k, opts), c) for _, _, c, n in sub.runs])
+    XK1, Y = sub.evaluate(X, s)
+    L = len(live)
+    lo, up, newton, steps = [-math.inf] * L, [math.inf] * L, [False] * L, [0] * L
+    watching = (sub.sizes <= NEWTON_MAX_N).tolist()  # may yet switch to Newton steps
+    marks = collections.deque(maxlen=_WINDOW + 1)  # the spreads of the last steps
     for iters in range(1, opts.max_iters + 1):
         R = Y / XK1
-        hi = _MAX(R, 1)
-        going = [m.track(lo, up, opts) for m, lo, up in zip(live, _MIN(R, 1).tolist(), hi.tolist())]
-        if not all(going):
-            for member, x, go in zip(live, X, going):
-                if not go:
-                    member.finish(x.copy(), iters, s)
-            rows = np.flatnonzero(going)
-            live = [live[r] for r in rows]
-            idx, X, XK1, Y, R, hi = (A[rows] for A in (idx, X, XK1, Y, R, hi))
-            if not live:
+        hi, low = _MAXAT(R, sub.starts), _MINAT(R, sub.starts)
+        his, lows = hi.tolist(), low.tolist()
+        lo, up = list(map(max, lo, lows)), list(map(min, up, his))
+        closed = [u - l <= opts.tol * max(1.0, u - s) for l, u in zip(lo, up)]
+        if True in closed:
+            ids = live.tolist()
+            for b in (b for b, c in enumerate(closed) if c):
+                x = X[sub.starts[b] : sub.starts[b] + sub.sizes[b]].copy()
+                out[ids[b]] = _finish(stack, ids[b], x, lo[b], up[b], iters, s, steps[b])
+            if all(closed):
                 break
-        newton = [r for r, member in enumerate(live) if member.newton]
-        power = live
-        if newton:
-            rows = None if len(newton) == len(live) else np.array(newton)
-            took, *state = _newton_step(stack, *(_take(A, rows) for A in (idx, X, XK1, Y, R, hi)), s)
+            going = np.logical_not(closed)
+            rows = np.repeat(going, sub.sizes)
+            X, XK1, Y, R, live, hi = X[rows], XK1[rows], Y[rows], R[rows], live[going], hi[going]
+            keep = going.nonzero()[0].tolist()
+            lo, up, his, lows, newton, steps, watching = (
+                [A[b] for b in keep] for A in (lo, up, his, lows, newton, steps, watching)
+            )
+            marks = collections.deque(([A[b] for b in keep] for A in marks), maxlen=_WINDOW + 1)
+            sub = stack.subset(live)
+        if True in watching:  # a watched member has read its spread at every step
+            marks.append([h - l for h, l in zip(his, lows)])
+            if len(marks) > _WINDOW:
+                for b in (b for b, w in enumerate(watching) if w):
+                    G, target = stack.graphs[live[b]], opts.tol * max(1.0, up[b] - s)
+                    if _newton_pays(G.m, G.n, k, marks[0][b], marks[-1][b], target):
+                        newton[b], watching[b] = True, False
+        power = None
+        if True in newton:
+            mask = None if all(newton) else np.array(newton)
+            rows = None if mask is None else np.repeat(mask, sub.sizes)
+            took, *state = _newton_step(
+                stack, _take(live, mask), *(_take(A, rows) for A in (X, XK1, Y, R)), _take(hi, mask), s
+            )
             if rows is None:
                 X, XK1, Y = state
             else:
                 X[rows], XK1[rows], Y[rows] = state
-            for r, took_it in zip(newton, took.tolist()):
+            for b, took_it in zip([b for b, v in enumerate(newton) if v], took.tolist()):
                 if took_it:
-                    live[r].newton_steps += 1
+                    steps[b] += 1
                 else:
-                    # The upper bound no longer drops for any theta tried: it sits
-                    # at its rounding floor, where power steps are the cheaper way on.
-                    live[r].newton_allowed = live[r].newton = False
-            power = [r for r, member in enumerate(live) if not member.newton]
-        if power is live:  # every row, on whole arrays
-            X, XK1, Y = _power_step(stack, idx, Y, s)
-        elif power:
-            rows = np.array(power)
-            X[rows], XK1[rows], Y[rows] = _power_step(stack, idx[rows], Y[rows], s)
+                    # No theta lowers the upper bound: it sits at its rounding
+                    # floor, where power steps are the cheaper way on.
+                    newton[b] = False
+            if all(newton):
+                continue
+            power = np.logical_not(newton)
+        if power is None or _ALL(power):
+            X, XK1, Y = _power_step(sub, Y, s)
+        else:
+            rows = np.repeat(power, sub.sizes)
+            X[rows], XK1[rows], Y[rows] = _power_step(stack.subset(live[power]), Y[rows], s)
     else:
-        for member in live:
-            member.stall(opts)
+        for b, g in enumerate(live.tolist()):
+            lower, upper = lo[b] - s, up[b] - s
+            out[g] = ConvergenceError(
+                f"bracket still {up[b] - lo[b]:.3e} wide after {opts.max_iters} iterations "
+                f"(lower={lower:.17g}, upper={upper:.17g}, iters={opts.max_iters})",
+                lower, upper, opts.max_iters,
+            )
 
-    done = [g for g, member in enumerate(group) if isinstance(member.outcome, tuple)]
-    if done:
-        Xf = np.array([group[g].outcome[1] for g in done])
-        rho = np.array([group[g].outcome[0] for g in done])
-        res = _MAX(np.abs(stack.apply(np.array(done), Xf) - rho[:, None] * Xf ** (k - 1)), 1)
-        for g, r in zip(done, res.tolist()):
-            group[g].outcome = SpectralEstimate(*group[g].outcome, r, group[g].newton_steps)
-    return [member.outcome for member in group]
+    done = np.array([b for b, est in enumerate(out) if isinstance(est, tuple)], dtype=int)
+    if len(done):
+        fin = stack.subset(done)
+        Xf = np.concatenate([out[b][1] for b in done.tolist()])
+        rho = np.array([out[b][0] for b in done.tolist()])
+        res = _MAXAT(np.abs(fin.apply(Xf) - fin.rep(rho) * Xf ** (k - 1)), fin.starts)
+        for b, r in zip(done.tolist(), res.tolist()):
+            rho, x, lower, upper, iters, newton_steps = out[b]
+            out[b] = SpectralEstimate(rho, x, lower, upper, iters, r, newton_steps)
+    stack._cache.clear()  # the kept subsets and their kernel workspaces
+    return out
 
 
-_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
-"""Row maxima and minima, ``_MAX(A, 1)``: the ufunc reductions without
-the ``ndarray.max`` wrapper, which costs more than the work on the
-short rows of the verify suite."""
+def _finish(stack, b, x, lo, up, iters, s, newton_steps):
+    """``(rho, x, lower, upper, iters, newton_steps)`` of member b, the
+    certified bracket widened where it is narrower than rounding, or a
+    ConvergenceError when that bracket admits rho <= 0."""
+    lower, upper = sorted((lo - s, up - s))  # rounding may cross them
+    rho = (lower + upper) / 2.0
+    pad = _ratio_error(stack.max_degree[b], stack.k, up)
+    if upper - lower < 2.0 * pad:
+        lower, upper = lower - pad, upper + pad
+    if lower <= 0.0:
+        return ConvergenceError(
+            f"bracket [{lower:.17g}, {upper:.17g}] admits rho <= 0 after {iters} "
+            f"iterations: the shift {s:g} swamps every digit of rho; lower the shift",
+            lower, upper, iters,
+        )
+    return rho, x, lower, upper, iters, newton_steps
+
+
+_MAXAT, _MINAT = np.maximum.reduceat, np.minimum.reduceat
+_ANY, _ALL = np.logical_or.reduce, np.logical_and.reduce
+"""Maxima and minima of each member's segment (``_MAXAT(A, starts)``),
+any and all: the ufunc reductions without the ``ndarray`` method
+wrappers, which cost more than the work on the short segments of the
+verify suite.  Maxima and minima are exact in any order."""
 
 
 def _take(A, rows):
     return A if rows is None else A[rows]
 
 
-def _power_step(stack, members, Y, s):
-    """The shifted power step from each row's image y (overwritten):
-    ``x' = y^{[1/(k-1)]}`` made k-unit, with its ``x'^{[k-1]}`` and image."""
-    Y /= _column(_MAX(Y, 1).tolist())
-    X = _k_unit_rows(Y ** (1.0 / (stack.k - 1)), stack.k)
-    return (X, *stack.evaluate(members, X, s))
+def _power_step(sub, Y, s):
+    """The shifted power step from the image y of each member of ``sub``
+    (overwritten): ``x' = y^{[1/(k-1)]}`` made k-unit, with its
+    ``x'^{[k-1]}`` and image."""
+    Y /= sub.rep(_MAXAT(Y, sub.starts))
+    X = _k_unit_rows(sub, Y ** (1.0 / (sub.k - 1)))
+    return (X, *sub.evaluate(X, s))
 
 
-def _k_unit_rows(X, k):
-    """``k_unit`` of each row of X, in place and equal bit for bit: the
-    norms take Python's float power, as ``k_unit`` does, not numpy's."""
-    norms = [t ** (1.0 / k) for t in np.add.reduce(X**k, 1).tolist()]
+def _k_unit_rows(sub, X):
+    """``k_unit`` of each member's vector in X, in place and equal bit for
+    bit where its sum of x^k is finite and nonzero, as after a power
+    step, whose largest entry is 1.  The sums are row sums over the 2-D
+    runs of equal n, pairwise as ``np.sum`` of one vector is
+    (``np.add.reduceat`` sums sequentially), and the norms take Python's
+    float power, as ``k_unit`` does, not numpy's."""
+    k = sub.k
+    P = X**k
+    norms = [t ** (1.0 / k) for a, b, c, n in sub.runs for t in np.add.reduce(P[a:b].reshape(c, n), 1).tolist()]
     if 0.0 in norms:
         raise ValueError("cannot normalize the zero vector")
-    X /= _column(norms)
+    X /= sub.rep(norms)
     return X
 
 
-def _column(values):
-    """One divisor per row: a bare float for a single row, whose division
-    skips numpy's broadcasting set-up, a cost of the order of the whole
-    division on rows of a few hundred entries."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None]
-
-
-def _newton_pays(op: TensorOperator, spread_mark: float, spread: float, target: float) -> bool:
-    """Whether the power steps still needed cost more than ``_NEWTON_STEPS``
-    Newton steps.
+def _newton_pays(m: int, n: int, k: int, spread_mark: float, spread: float, target: float) -> bool:
+    """Whether the power steps still needed by an operator of n vertices
+    and m edges of size k cost more than ``_NEWTON_STEPS`` Newton steps.
 
     The ratio spread contracted from ``spread_mark`` to ``spread`` over the
     last ``_WINDOW`` steps; at that rate the steps left to reach ``target``,
@@ -412,11 +529,11 @@ def _newton_pays(op: TensorOperator, spread_mark: float, spread: float, target: 
     """
     q = (spread / spread_mark) ** (1.0 / _WINDOW)
     steps_left = math.log(target / spread) / math.log(q) if q < 1.0 else math.inf
-    power = steps_left * (op.G.m * op.k + _STEP_FLOPS)
-    return power > _NEWTON_STEPS * (op.n**3 / 3.0 + _STEP_FLOPS)
+    power = steps_left * (m * k + _STEP_FLOPS)
+    return power > _NEWTON_STEPS * (n**3 / 3.0 + _STEP_FLOPS)
 
 
-def _ratio_error(op: TensorOperator, ratio: float) -> float:
+def _ratio_error(max_degree: int, k: int, ratio: float) -> float:
     """A-priori bound on the rounding error of one computed shifted Collatz
     ratio ``y_i / x_i^{k-1}`` of size ``ratio``: Higham's gamma_j = j u /
     (1 - j u) with j = max degree + 2k + 6, which counts the deg_i - 1 sums
@@ -424,34 +541,36 @@ def _ratio_error(op: TensorOperator, ratio: float) -> float:
     division, up to three roundings in a weight and the final subtraction
     of the shift, with room to spare.
     """
-    j = int(op.G.degree_array.max()) + 2 * op.k + 6
+    j = max_degree + 2 * k + 6
     u = np.finfo(np.float64).eps / 2.0
     return j * u / (1.0 - j * u) * ratio
 
 
-def _bordered_matrices(stack, members, X, XK1, lam):
+def _bordered_matrices(sub, X, XK1, lam):
     """``[[M - (k-1) lam diag(x^{[k-2]}), -x^{[k-1]}], [1^T, 0]]`` of each
-    row x of X, dense, stacked.
+    member's vector x in X, dense: yields each chunk of ``sub.chunks()``
+    with its members' systems stacked, one chunk at a time.
 
     ``M_ij = sum over edges e containing i and j of w_e prod_{l in e, l != i, j} x_l``
     is the Jacobian of ``T x^{k-1}`` (so ``M x = (k-1) T x^{k-1}``), built
-    for the whole stack by one bincount over the m*k*(k-1) ordered vertex
-    pairs of the edges.
+    for each chunk by one bincount over the m*k*(k-1) ordered vertex
+    pairs of its edges.
     """
-    n, k, B = stack.n, stack.k, len(members)
-    E, W, _ = stack.arrays(members)
+    k, E = sub.k, sub.edges
+    chunks, side, base = sub.chunks()
     i, j = _position_pairs(k)
-    Xe = X.ravel()[E]
-    pairs = (W * Xe.prod(axis=1))[:, None] / (Xe[:, i] * Xe[:, j])
-    flat = E[:, i] * (n + 1) + E[:, j]  # b*n(n+2) + v_i(n+1) + v_j for member b
-    if B > 1:
-        flat += E[:, :1] // n  # plus b: block b starts at b(n+1)^2
-    M = np.bincount(flat.ravel(), weights=pairs.ravel(), minlength=B * (n + 1) ** 2)
-    M.reshape(B, -1)[:, : n * (n + 2) : n + 2] -= ((k - 1) * lam)[:, None] * X ** (k - 2)
-    M = M.reshape(B, n + 1, n + 1)
-    M[:, :n, n] = -XK1
-    M[:, n, :n] = 1.0
-    return M
+    Xe = X[E]
+    pairs = (sub.weights * Xe.prod(axis=1))[:, None] / (Xe[:, i] * Xe[:, j])
+    flat = E[:, i] * side + E[:, j] + base
+    for chunk in chunks:
+        first, end, n, verts, edges = chunk
+        B = end - first
+        M = np.bincount(flat[edges].ravel(), weights=pairs[edges].ravel(), minlength=B * (n + 1) ** 2)
+        M.reshape(B, -1)[:, : n * (n + 2) : n + 2] -= ((k - 1) * lam[first:end])[:, None] * X[verts].reshape(B, n) ** (k - 2)
+        M = M.reshape(B, n + 1, n + 1)
+        M[:, :n, n] = -XK1[verts].reshape(B, n)
+        M[:, n, :n] = 1.0
+        yield chunk, M
 
 
 @functools.lru_cache(maxsize=8)
@@ -481,51 +600,52 @@ def _solve_stack(M, rhs):
 
 
 def _newton_step(stack, members, X, XK1, Y, R, hi, s):
-    """One Newton–Noda step from each k-unit row x of X, with shifted
-    image the row of Y and Collatz ratios the row of R, whose maximum is
-    ``hi[b]``, all rows in lock step: solve the bordered system for dx
-    (with ``sum dx = 0``, lam = hi[b] - s), then try ``x + theta dx`` for
-    theta = 1, 1/2, ... until it stays positive and strictly lowers that
-    maximum.  Returns the mask of rows that took a step and the next
-    ``(x, x^{[k-1]}, shifted image)`` of every row, the old one where no
-    theta succeeded within ``_HALVINGS`` halvings or the system is
-    singular.
+    """One Newton–Noda step from each member's k-unit vector x in X, with
+    shifted image its part of Y and Collatz ratios its part of R, whose
+    maximum is ``hi[b]``, all members in lock step: solve the bordered
+    system for dx (with ``sum dx = 0``, lam = hi[b] - s), then try
+    ``x + theta dx`` for theta = 1, 1/2, ... until it stays positive and
+    strictly lowers that maximum.  Returns the mask of members that took
+    a step and the next ``(x, x^{[k-1]}, shifted image)`` of every
+    member, the old one where no theta succeeded within ``_HALVINGS``
+    halvings or the system is singular.
 
-    A stack of systems holds at most ``(NEWTON_MAX_N + 1)^2`` doubles, so
-    more rows are solved in chunks.
+    Each chunk of members of one n (``_Subset.chunks``) is built and
+    factored as one stack.
     """
-    n, B = stack.n, len(members)
-    rhs = np.zeros((B, n + 1))
-    rhs[:, :n] = (hi[:, None] - R) * XK1  # lam x^{[k-1]} - T x^{k-1} >= 0
-    DX, ok = np.empty((B, n + 1)), np.empty(B, dtype=bool)
-    chunk = max(1, (NEWTON_MAX_N + 1) ** 2 // (n + 1) ** 2)
-    for c in range(0, B, chunk):
-        part = slice(c, c + chunk)
-        M = _bordered_matrices(stack, members[part], X[part], XK1[part], hi[part] - s)
-        DX[part], ok[part] = _solve_stack(M, rhs[part])
-    DX = DX[:, :n]
-    pending = ok.copy()  # rows still trying: solvable, and no theta has succeeded yet
+    sub = stack.subset(members)
+    gap = (sub.rep(hi) - R) * XK1  # lam x^{[k-1]} - T x^{k-1} >= 0
+    DX, ok = np.empty(len(X)), np.empty(len(members), dtype=bool)
+    for (first, end, n, verts, _), M in _bordered_matrices(sub, X, XK1, hi - s):
+        rhs = np.zeros((end - first, n + 1))
+        rhs[:, :n] = gap[verts].reshape(end - first, n)
+        sol, ok[first:end] = _solve_stack(M, rhs)
+        DX[verts] = sol[:, :n].ravel()
+    pending = ok.copy()  # members still trying: solvable, and no theta has succeeded yet
     Z, ZK1, YZ = X, XK1, Y
     theta = 1.0
     for _ in range(_HALVINGS + 1):
         z = X + theta * DX
-        trying = pending & (_MIN(z, 1) > 0.0)  # also rejects NaN
-        flags = trying.tolist()
-        if any(flags):
-            rows = None if all(flags) else np.flatnonzero(trying)
-            z = _k_unit_rows(_take(z, rows), stack.k)
-            zk1, yz = stack.evaluate(_take(members, rows), z, s)
-            lower = _MAX(yz / zk1, 1) < _take(hi, rows)
-            accepted = lower.tolist()
-            if rows is None and all(accepted):
+        trying = pending & (_MINAT(z, sub.starts) > 0.0)  # also rejects NaN
+        if _ANY(trying):
+            every = _ALL(trying)
+            mask = None if every else trying
+            rows = None if every else np.repeat(trying, sub.sizes)
+            part = sub if every else stack.subset(members[trying])
+            z = _k_unit_rows(part, _take(z, rows))
+            zk1, yz = part.evaluate(z, s)
+            lower = _MAXAT(yz / zk1, part.starts) < _take(hi, mask)
+            if every and _ALL(lower):
                 return lower, z, zk1, yz
-            if any(accepted):
+            if _ANY(lower):
                 if Z is X:
                     Z, ZK1, YZ = X.copy(), XK1.copy(), Y.copy()
-                at = _take(np.arange(B), rows)[lower]
-                Z[at], ZK1[at], YZ[at] = z[lower], zk1[lower], yz[lower]
-                pending[at] = False
-                if not any(pending.tolist()):
+                accepted = trying.copy()
+                accepted[trying] = lower
+                dest, src = np.repeat(accepted, sub.sizes), np.repeat(lower, part.sizes)
+                Z[dest], ZK1[dest], YZ[dest] = z[src], zk1[src], yz[src]
+                pending &= ~accepted
+                if not _ANY(pending):
                     break
         theta /= 2.0
     return ok & ~pending, Z, ZK1, YZ

@@ -83,7 +83,16 @@ the exact-integer ``edge_weight``."""
 
 
 def edge_weights(G: UniformHypergraph, w: Weighting) -> np.ndarray:
-    """``edge_weight(G, e, w)`` for every edge e, equal bit for bit.
+    """``edge_weight(G, e, w)`` for every edge e, equal bit for bit."""
+    w = Weighting(w)
+    if w is Weighting.ADJACENCY:
+        return np.ones(G.m)
+    return _degree_weights(G.degree_array[G.edge_array], G.k, w)
+
+
+def _degree_weights(D: np.ndarray, k: int, w: Weighting) -> np.ndarray:
+    """The weight under ``w``, abc or Randić, of each edge whose row of k
+    vertex degrees is a row of D, as ``edge_weight`` computes it.
 
     Degree sums and products are array reductions.  Below
     ``_EXACT_PRODUCT`` they are exact integers in float64, so the quotient
@@ -91,15 +100,13 @@ def edge_weights(G: UniformHypergraph, w: Weighting) -> np.ndarray:
     Python's float power, which can differ from ``np.power`` in the last
     bit.
     """
-    w = Weighting(w)
-    if w is Weighting.ADJACENCY:
-        return np.ones(G.m)
-    D = G.degree_array[G.edge_array]
     prod = D.prod(axis=1, dtype=np.float64)
-    base, exponent = _power_rule(w, G.k, D.sum(axis=1), prod)
-    out = np.fromiter(map(pow, base.tolist(), itertools.repeat(exponent)), np.float64, G.m)
+    base, exponent = _power_rule(w, k, D.sum(axis=1), prod)
+    out = np.fromiter(map(pow, base.tolist(), itertools.repeat(exponent)), np.float64, len(D))
     for e in np.flatnonzero(prod >= _EXACT_PRODUCT).tolist():
-        out[e] = edge_weight(G, e, w)
+        d = D[e].tolist()
+        base, exponent = _power_rule(w, k, sum(d), math.prod(d))
+        out[e] = base**exponent
     return out
 
 
@@ -152,11 +159,21 @@ def abc_index(G: UniformHypergraph) -> float:
 
 
 def k_unit(x: np.ndarray, k: int) -> np.ndarray:
-    """Rescale a nonzero, nonnegative, finite vector so sum x_i^k = 1."""
+    """Rescale a nonzero, nonnegative, finite vector so sum x_i^k = 1.
+
+    When sum x_i^k overflows, or underflows to 0 for a nonzero x, x is
+    first divided by its largest entry; otherwise it is not, so every
+    finite sum keeps its bits.
+    """
     x = np.asarray(x, dtype=np.float64)
     if not np.all((0.0 <= x) & (x < math.inf)):
         raise ValueError("cannot normalize a vector with a negative or non-finite entry")
-    norm = float(np.sum(x**k)) ** (1.0 / k)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(x**k))
+    if total == math.inf or total == 0.0 and x.any():
+        x = x / x.max()
+        total = float(np.sum(x**k))
+    norm = total ** (1.0 / k)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return x / norm

@@ -9,7 +9,7 @@ Every group of checks is a plan: the (graph, weighting) requests it
 needs and a judgement of their estimates.  A public check solves its
 own plan; ``default_suite`` gathers the plans of every group it runs
 and solves all their requests in one ``spectral_radii`` call, which
-steps same-shape graphs in lock step, before it judges.  Each bound
+steps the graphs of each edge size in lock step, before it judges.  Each bound
 graph is requested once per weighting its judgements take.  Given a
 name prefix the suite runs only the groups of checks whose names can
 start with it.  No estimate is kept from one call to the next.  Every

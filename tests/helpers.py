@@ -204,7 +204,7 @@ def solve_by_single_loop(op, opts):
             break
         if newton_allowed and not newton:
             spreads.append(hi - lo)
-            newton = len(spreads) > sp._WINDOW and sp._newton_pays(op, spreads[0], hi - lo, target)
+            newton = len(spreads) > sp._WINDOW and sp._newton_pays(op.G.m, n, k, spreads[0], hi - lo, target)
         if newton:
             step = newton_step(x, xk1, ratios, hi)
             if step is not None:
@@ -219,7 +219,7 @@ def solve_by_single_loop(op, opts):
         raise sp.ConvergenceError("stalled", lo_best - s, up_best - s, opts.max_iters)
     lower, upper = sorted((lo_best - s, up_best - s))
     rho = (lower + upper) / 2.0
-    pad = sp._ratio_error(op, up_best)
+    pad = sp._ratio_error(int(op.G.degree_array.max()), k, up_best)
     if upper - lower < 2.0 * pad:
         lower, upper = lower - pad, upper + pad
     if lower <= 0.0:

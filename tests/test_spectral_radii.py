@@ -2,14 +2,16 @@
 of that member alone, bit for bit, whatever the batch mixes, and each
 member's failure is its own."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abctensor import build
 from abctensor import generators as gen
-from abctensor import spectral
+from abctensor import spectral, verify
 from abctensor.spectral import (
     ConvergenceError,
     NotConnectedError,
@@ -55,8 +57,8 @@ def _assert_batch_equals_singles(problems, opts):
 
 
 @st.composite
-def tree_or_unicyclic(draw):
-    k = draw(st.integers(2, 4))
+def tree_or_unicyclic(draw, k=None):
+    k = k or draw(st.integers(2, 4))
     if k == 2 or draw(st.booleans()):
         return gen.random_hypertree(draw(st.integers(1, 7)), k, draw(st.integers(0, 10**6)))
     g = draw(st.sampled_from((2, 3)))
@@ -152,12 +154,14 @@ def test_singular_system_sends_only_its_member_to_power_steps(monkeypatch):
     target = ops[1]
     bordered = spectral._bordered_matrices
 
-    def singular_for_target(stack, members, *args):
-        M = bordered(stack, members, *args)
-        for b, g in enumerate(members.tolist()):
-            if stack.ops[g] is target:
-                M[b] = 0.0
-        return M
+    def singular_for_target(sub, *args):
+        for chunk, M in bordered(sub, *args):
+            first, end, _, _, edges = chunk
+            # The operators share one hypergraph, so each member has m weights.
+            for b, W in enumerate(np.split(sub.weights[edges], end - first)):
+                if np.array_equal(W, target.weights):
+                    M[b] = 0.0
+            yield chunk, M
 
     clean = [spectral_radius(op) for op in ops]
     monkeypatch.setattr(spectral, "_bordered_matrices", singular_for_target)
@@ -210,4 +214,90 @@ def test_a_batch_of_one_contracts_its_own_edge_array(monkeypatch):
     est = spectral_radius(op)
     assert est.newton_steps > 0 and len(edges) > est.iters
     assert all(E is op.G.edge_array for E in edges)
-    assert _Stack([op]).arrays(np.arange(1))[0] is op.G.edge_array
+    assert _Stack([(op.G, op.weights)]).subset(np.arange(1)).edges is op.G.edge_array
+
+
+def _assert_batch_equals_single_loops(problems, opts):
+    """Each batch estimate equals ``solve_by_single_loop`` of its member
+    field for field; when single loops fail, the batch raises the first
+    failure in input order."""
+    singles = []
+    for G, w in problems:
+        try:
+            rho, lower, upper, iters, newton_steps, residual, x = solve_by_single_loop(
+                TensorOperator.from_weighting(G, w), opts)
+            singles.append((rho, lower, upper, iters, newton_steps, residual, x.dtype, x.shape, x.tobytes()))
+        except ConvergenceError as exc:
+            singles.append(exc)
+    failed = [s for s in singles if isinstance(s, ConvergenceError)]
+    if failed:
+        with pytest.raises(ConvergenceError) as info:
+            spectral_radii(problems, opts)
+        assert (info.value.lower, info.value.upper, info.value.iters) == (failed[0].lower, failed[0].upper, failed[0].iters)
+        return
+    assert [estimate_fields(e) for e in spectral_radii(problems, opts)] == singles
+
+
+@st.composite
+def wide_batches(draw):
+    """10 to 40 problems of one k and mixed n, so that members leave the
+    stack at different steps, some of them after Newton steps."""
+    k = draw(st.integers(2, 4))
+    members = st.tuples(tree_or_unicyclic(k), st.sampled_from(list(Weighting)))
+    return draw(st.lists(members, min_size=10, max_size=40))
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_batches(), st.sampled_from([None, 5]), st.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_wide_one_k_batches_equal_single_loops_bit_for_bit(problems, seed, tol):
+    _assert_batch_equals_single_loops(problems, SolveOptions(tol=tol, seed=seed, max_iters=5000))
+
+
+@settings(max_examples=15, deadline=None)
+@given(wide_batches(), st.sampled_from([None, 5]))
+def test_a_stack_mixing_members_with_and_without_newton_steps(problems, seed):
+    # With the cap at the least n, the larger members stay on power steps
+    # while the least may switch; the single loops read the same cap.
+    sizes = [G.n for G, _ in problems]
+    assume(min(sizes) < max(sizes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "NEWTON_MAX_N", min(sizes))
+        _assert_batch_equals_single_loops(problems, SolveOptions(seed=seed, max_iters=5000))
+
+
+@pytest.mark.parametrize("problem, kind", [
+    (gen.hyperstar(3, 3), "UniformHypergraph"),
+    ((gen.hyperstar(3, 3),), "(UniformHypergraph)"),
+    ((gen.hyperstar(3, 3), ABC, ABC), "(UniformHypergraph, Weighting, Weighting)"),
+    ((gen.hyperstar(3, 3), None), "(UniformHypergraph, NoneType)"),
+    ((TensorOperator.from_weighting(gen.hyperstar(3, 3), ABC), ABC), "(TensorOperator, Weighting)"),
+    ("abc", "str"),
+], ids=["hypergraph", "1-tuple", "3-tuple", "no-weighting", "operator-pair", "string"])
+def test_a_malformed_problem_is_named_by_its_index(problem, kind, monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral._kernels, "contract", lambda *args, **kw: calls.append(args))
+    message = rf"^problem 1 is {re.escape(kind)}: a problem is a TensorOperator or a \(hypergraph, weighting\) pair$"
+    with pytest.raises(TypeError, match=message):
+        spectral_radii([(gen.hyperpath(3, 3), ADJ), problem])
+    assert calls == []
+
+
+def test_the_default_suite_steps_one_stack_per_k_in_few_kernel_calls(monkeypatch):
+    # One group per (n, k) made 32 groups and 479 kernel calls a pass.
+    contract = spectral._kernels.contract
+    calls, stacks = [], []
+
+    def counted(*args, **kw):
+        calls.append(args[0].shape)
+        contract(*args, **kw)
+
+    def recorded(problems):
+        stacks.append((problems[0][0].k, len(problems)))
+        return stack(problems)
+
+    stack = spectral._Stack
+    monkeypatch.setattr(spectral._kernels, "contract", counted)
+    monkeypatch.setattr(spectral, "_Stack", recorded)
+    assert all(r.ok for r in verify.default_suite())
+    assert sorted(stacks) == [(2, 45), (3, 161), (4, 170)]
+    assert len(calls) == 120

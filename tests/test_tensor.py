@@ -3,13 +3,15 @@ equivalence against the explicit dense tensor."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from abctensor import _kernels, build
 from abctensor import generators as gen
-from abctensor.spectral import _Stack
+from abctensor import spectral
+from abctensor.spectral import SolveOptions, _initial_vector, _Stack, spectral_radius
 from abctensor.tensor import (
     TensorOperator,
     Weighting,
@@ -18,7 +20,7 @@ from abctensor.tensor import (
     k_unit,
     omega,
 )
-from helpers import contract_by_loop, dense_apply, dense_form
+from helpers import contract_by_loop, dense_apply, dense_form, estimate_fields
 
 
 def test_omega_single_edge_is_zero():
@@ -192,6 +194,43 @@ def test_k_unit():
         k_unit(np.zeros(3), 3)
 
 
+def _k_unit_unscaled(x, k):
+    """k_unit without the rescaling: x over the k-th root of sum x^k."""
+    return x / float(np.sum(x**k)) ** (1.0 / k)
+
+
+@pytest.mark.parametrize("x, like", [
+    ([1e200, 1.0], [1.0, 1e-200]),  # sum x^3 overflows: [0, 0] unscaled
+    ([1e-200, 2e-200], [0.5, 1.0]),  # sum x^3 underflows to 0
+], ids=["overflow", "underflow"])
+def test_k_unit_rescales_a_sum_that_overflows_or_underflows(x, like):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = k_unit(np.array(x), 3)
+    assert got.tobytes() == k_unit(np.array(like), 3).tobytes()
+    assert np.sum(got**3) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_k_unit_keeps_the_bits_of_every_finite_sum():
+    rng = np.random.default_rng(4)
+    for k in (2, 3, 4, 7):
+        for n in (1, 5, 64, 1000):
+            x = rng.uniform(0.5, 1.5, size=n)
+            assert k_unit(x, k).tobytes() == _k_unit_unscaled(x, k).tobytes()
+
+
+def test_seeded_starts_and_solves_keep_their_bits(monkeypatch):
+    # The seeded start is k_unit of a uniform draw, whose sum is finite.
+    for n, k, seed in [(7, 3, 3), (41, 2, 0), (120, 4, 11)]:
+        opts = SolveOptions(seed=seed)
+        draw = np.random.default_rng(seed).uniform(0.5, 1.5, size=n)
+        assert _initial_vector(n, k, opts).tobytes() == _k_unit_unscaled(draw, k).tobytes()
+    G, opts = gen.random_hypertree(9, 3, 5), SolveOptions(seed=3)
+    est = spectral_radius(G, Weighting.RANDIC, opts)
+    monkeypatch.setattr(spectral, "k_unit", _k_unit_unscaled)
+    assert estimate_fields(spectral_radius(G, Weighting.RANDIC, opts)) == estimate_fields(est)
+
+
 def _random_graphs():
     yield from (gen.random_connected_hypergraph(m, k, seed) for m, k, seed in
                 [(8, 3, 1), (12, 4, 2), (20, 3, 3), (6, 2, 4), (15, 5, 5)])
@@ -239,7 +278,8 @@ def test_a_reused_workspace_contracts_as_the_edge_by_edge_loop(k):
            for seed, w in zip(range(3), Weighting)]
     op, n = ops[0], ops[0].n
     work = _kernels.Workspace(op.G.edge_array)
-    E, W, stack_work = _Stack(ops).arrays(np.arange(3))
+    sub = _Stack([(member.G, member.weights) for member in ops]).subset(np.arange(3))
+    E, W, stack_work = sub.edges, sub.weights, sub.work
     rng = np.random.default_rng(k)
     for _ in range(4):
         X = rng.uniform(0.05, 2.0, size=(3, n))
