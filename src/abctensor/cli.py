@@ -249,6 +249,11 @@ def cmd_closed_form(args) -> int:
     from . import closed_forms as cf
 
     params = {key: val for key in CLOSED_FORM_FLAGS if (val := getattr(args, key)) is not None}
+    takes = cf.CLOSED_FORMS[args.name].params
+    extra = [f"--{key}" for key in params if key not in takes]
+    if extra:
+        flags = ", ".join(f"--{p}" for p in takes)
+        raise ValueError(f"closed form {args.name!r} takes {flags}, not {', '.join(extra)}")
     value = cf.closed_form(args.name, **params)
     record = {"name": args.name, "value": _f(value), **params}
     if args.check:

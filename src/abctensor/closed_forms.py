@@ -15,7 +15,8 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import CodeType
 from typing import Callable, Mapping, Optional
 
 from . import generators as gen
@@ -305,16 +306,23 @@ class ClosedForm:
     graph: Callable[..., UniformHypergraph]
     domain: str
     weighting: Weighting = Weighting.ABC
+    signature: inspect.Signature = field(init=False, repr=False, compare=False)
+    _domain_code: CodeType = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # The signature and the compiled domain, taken once per record.
+        object.__setattr__(self, "signature", inspect.signature(self.value))
+        object.__setattr__(self, "_domain_code", compile(self.domain, "<domain>", "eval"))
 
     @property
     def params(self) -> tuple[str, ...]:
         """Parameter names, in the order ``value`` takes them."""
-        return tuple(inspect.signature(self.value).parameters)
+        return tuple(self.signature.parameters)
 
     def admits(self, **params: int) -> bool:
         """Whether the parameter values satisfy ``domain``."""
         # ``domain`` is a constant of this module, never caller input.
-        return bool(eval(self.domain, {"__builtins__": {}}, params))
+        return bool(eval(self._domain_code, {"__builtins__": {}}, params))
 
 
 CLOSED_FORMS: dict[str, ClosedForm] = {
@@ -351,7 +359,7 @@ def _bind(name: str, params: Mapping[str, Optional[int]]) -> tuple[ClosedForm, d
     if name not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {name!r}; known: {sorted(CLOSED_FORMS)}")
     form = CLOSED_FORMS[name]
-    signature = inspect.signature(form.value)
+    signature = form.signature
     given = {p: params[p] for p in signature.parameters if params.get(p) is not None}
     try:
         bound = signature.bind(**given)

@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .canon import canonical_code, vertex_orbits
-from .hypergraph import UniformHypergraph, build, check_vertex_count
+from .hypergraph import InvalidHypergraphError, UniformHypergraph, build, check_vertex_count
 
 
 class BudgetExceededError(ValueError):
@@ -33,22 +35,44 @@ class BudgetExceededError(ValueError):
 
 
 def attach_pendant_edge(G: UniformHypergraph, v: int) -> UniformHypergraph:
-    """Add one new edge {v, n, n+1, ..., n+k-2} on k-1 fresh vertices."""
-    if not (0 <= v < G.n):
-        raise ValueError(f"vertex {v} outside [0, {G.n})")
-    new_edge = (v,) + tuple(range(G.n, G.n + G.k - 1))
-    return build(G.k, G.n + G.k - 1, list(G.edges) + [new_edge])
+    """Add one new edge {v, n, n+1, ..., n+k-2} on k-1 fresh vertices.
+
+    G's rows are already in normal order, and the new row, whose other
+    ids are all fresh, belongs right after the last row starting at or
+    below v: it is spliced in there, which is what ``build`` would do."""
+    k, n, E = G.k, G.n, G.edge_array
+    if not (0 <= v < n):
+        raise ValueError(f"vertex {v} outside [0, {n})")
+    check_vertex_count(n + k - 1)
+    if not isinstance(v, (int, np.integer)):
+        raise InvalidHypergraphError("vertex ids must be integers")
+    at = int(np.searchsorted(E[:, 0], v, side="right"))
+    S = np.empty((len(E) + 1, k), dtype=np.int64)
+    S[:at], S[at], S[at + 1:] = E[:at], (v, *range(n, n + k - 1)), E[at:]
+    S.flags.writeable = False
+    return UniformHypergraph(k=k, n=n + k - 1, edge_array=S)
 
 
-def _attach_pendant_edges(G: UniformHypergraph, anchors: Sequence[int]) -> UniformHypergraph:
-    """``attach_pendant_edge`` at each vertex of ``anchors`` in turn, with
-    the same fresh ids, built once instead of once per edge."""
-    k, n = G.k, G.n
-    edges = list(G.edges)
+def _with_pendants(k: int, n: int, edges, anchors: Iterable[int]) -> UniformHypergraph:
+    """The k-uniform hypergraph on n vertices with ``edges``, after
+    ``attach_pendant_edge`` at each vertex of ``anchors`` in turn: the
+    same fresh ids, but one ``build`` instead of one per edge."""
+    edges = list(edges)
     for v in anchors:
         edges.append((v,) + tuple(range(n, n + k - 1)))
         n += k - 1
     return build(k, n, edges)
+
+
+def _star_edges(m: int, k: int) -> list[tuple[int, ...]]:
+    """The edges of S_{m,k}: center 0, then each edge's k-1 fresh ids."""
+    return [(0,) + tuple(range(1 + i * (k - 1), 1 + (i + 1) * (k - 1))) for i in range(m)]
+
+
+def _cycle_edges(g: int, k: int) -> list[tuple[int, ...]]:
+    """The edges of C_{g,k}: edge i is (i(k-1), ..., i(k-1)+k-1) mod g(k-1)."""
+    n = g * (k - 1)
+    return [tuple((i * (k - 1) + j) % n for j in range(k)) for i in range(g)]
 
 
 def hyperstar(m: int, k: int) -> UniformHypergraph:
@@ -57,8 +81,7 @@ def hyperstar(m: int, k: int) -> UniformHypergraph:
         raise ValueError("hyperstar needs m >= 1 and k >= 2")
     n = m * (k - 1) + 1
     check_vertex_count(n)
-    edges = [(0,) + tuple(range(1 + i * (k - 1), 1 + (i + 1) * (k - 1))) for i in range(m)]
-    return build(k, n, edges)
+    return build(k, n, _star_edges(m, k))
 
 
 def hyperpath(m: int, k: int) -> UniformHypergraph:
@@ -78,10 +101,7 @@ def hypercycle(g: int, k: int) -> UniformHypergraph:
         raise ValueError("hypercycle needs g >= 2 and k >= 3")
     n = g * (k - 1)
     check_vertex_count(n)
-    edges = []
-    for i in range(g):
-        edges.append(tuple((i * (k - 1) + j) % n for j in range(k)))
-    return build(k, n, edges)
+    return build(k, n, _cycle_edges(g, k))
 
 
 def cycle_graph(g: int) -> UniformHypergraph:
@@ -89,7 +109,7 @@ def cycle_graph(g: int) -> UniformHypergraph:
     if g < 3:
         raise ValueError("cycle_graph needs g >= 3")
     check_vertex_count(g)
-    return build(2, g, [(i, (i + 1) % g) for i in range(g)])
+    return build(2, g, _cycle_edges(g, 2))
 
 
 def complete(n: int, k: int) -> UniformHypergraph:
@@ -143,8 +163,7 @@ def s_composition(m: int, k: int, a: Sequence[int]) -> UniformHypergraph:
         raise ValueError("composition entries must be >= 0")
     if sum(a) != m - 1:
         raise ValueError(f"composition must sum to m-1={m - 1}, got {sum(a)}")
-    base = build(k, k, [tuple(range(k))])
-    return _attach_pendant_edges(base, [v for v in range(k) for _ in range(a[v])])
+    return _with_pendants(k, k, [tuple(range(k))], [v for v in range(k) for _ in range(a[v])])
 
 
 def unicyclic_family(m: int, k: int, g: int, a: Sequence[int]) -> UniformHypergraph:
@@ -162,7 +181,8 @@ def unicyclic_family(m: int, k: int, g: int, a: Sequence[int]) -> UniformHypergr
     if sum(a) != m - g:
         raise ValueError(f"composition must sum to m-g={m - g}, got {sum(a)}")
     # Edge 0 of C_{g,k} is (0, 1, ..., k-1) with joints 0 and k-1.
-    return _attach_pendant_edges(hypercycle(g, k), [v for v in range(k) for _ in range(a[v])])
+    anchors = [v for v in range(k) for _ in range(a[v])]
+    return _with_pendants(k, g * (k - 1), _cycle_edges(g, k), anchors)
 
 
 def unicyclic_graph(m: int, g: int) -> UniformHypergraph:
@@ -171,7 +191,7 @@ def unicyclic_graph(m: int, g: int) -> UniformHypergraph:
     if g < 3 or m < g:
         raise ValueError("unicyclic_graph needs g >= 3 and m >= g")
     check_vertex_count(m)
-    return _attach_pendant_edges(cycle_graph(g), [0] * (m - g))
+    return _with_pendants(2, g, _cycle_edges(g, 2), [0] * (m - g))
 
 
 def t_family(m: int, idx: int) -> UniformHypergraph:
@@ -229,40 +249,43 @@ def example_h(idx: int) -> UniformHypergraph:
     each of its 9 pendant vertices (12 edges, 4-uniform).
     """
     if idx == 1:
-        return _attach_pendant_edges(hyperstar(2, 3), range(1, 5))
+        return _with_pendants(3, 5, _star_edges(2, 3), range(1, 5))
     if idx == 2:
-        return _attach_pendant_edges(hyperstar(3, 4), range(1, 10))
+        return _with_pendants(4, 10, _star_edges(3, 4), range(1, 10))
     raise ValueError("idx must be 1 or 2")
 
 
 ENUM_BUDGET = {2: 8, 3: 6, 4: 5}
-"""The largest m ``enumerate_hypertrees`` takes for each k; 4 for any other k."""
+"""The largest m ``enumerate_hypertrees`` and ``hypertree_classes`` take
+for each k; 4 for any other k."""
 
 
-def _grow(base: UniformHypergraph, steps: int) -> dict[bytes, UniformHypergraph]:
-    """One representative per isomorphism class grown from ``base`` by
-    ``steps`` rounds of pendant-edge attachment, keyed by canonical code.
+def _levels(base: UniformHypergraph, steps: int) -> list[dict[bytes, UniformHypergraph]]:
+    """The classes grown from ``base`` by 0, 1, ..., ``steps`` rounds of
+    pendant-edge attachment, one representative per class, each round's
+    keyed by canonical code in the order found.
 
     Each round attaches at the least vertex of each automorphism orbit of
-    each representative, in ascending order: every vertex of an orbit
-    gives the same class, and the least comes first, so the classes and
-    their representatives are those of attaching at every vertex."""
-    reps = {canonical_code(base): base}
+    each representative of the round before, in ascending order: every
+    vertex of an orbit gives the same class, and the least comes first, so
+    the classes and their representatives are those of attaching at every
+    vertex."""
+    levels = [{canonical_code(base): base}]
     for _ in range(steps):
         grown: dict[bytes, UniformHypergraph] = {}
-        for G in reps.values():
+        for G in levels[-1].values():
             for v, least in enumerate(vertex_orbits(G)):
                 if v == least:
                     H = attach_pendant_edge(G, v)
                     grown.setdefault(canonical_code(H), H)
-        reps = grown
-    return reps
+        levels.append(grown)
+    return levels
 
 
-def enumerate_hypertrees(m: int, k: int) -> list[UniformHypergraph]:
-    """One representative per isomorphism class of k-uniform hypertrees
-    with m edges, grown by pendant-edge attachment (one per automorphism
-    orbit) with canonical dedupe.
+def hypertree_classes(m: int, k: int) -> list[dict[bytes, UniformHypergraph]]:
+    """For each size j = 1..m, one representative per isomorphism class of
+    k-uniform hypertrees with j edges, keyed by canonical code in the order
+    found; all from one growth of the single edge.
 
     Every hypertree is reachable this way: ordering its edges by breadth
     first search from any edge, each subsequent edge meets the previous
@@ -275,7 +298,14 @@ def enumerate_hypertrees(m: int, k: int) -> list[UniformHypergraph]:
         )
     if m < 1:
         raise ValueError("m must be >= 1")
-    reps = _grow(build(k, k, [tuple(range(k))]), m - 1)
+    return _levels(build(k, k, [tuple(range(k))]), m - 1)
+
+
+def enumerate_hypertrees(m: int, k: int) -> list[UniformHypergraph]:
+    """One representative per isomorphism class of k-uniform hypertrees
+    with m edges, in canonical code order: the last size of
+    ``hypertree_classes(m, k)``."""
+    reps = hypertree_classes(m, k)[-1]
     return [reps[c] for c in sorted(reps)]
 
 
@@ -285,7 +315,7 @@ def enumerate_small_unicyclic(m: int, k: int) -> list[UniformHypergraph]:
     every length g <= m by pendant-edge attachment with canonical dedupe."""
     reps: dict[bytes, UniformHypergraph] = {}
     for g in range(2, m + 1):
-        reps.update(_grow(hypercycle(g, k), m - g))
+        reps.update(_levels(hypercycle(g, k), m - g)[-1])
     return [reps[c] for c in sorted(reps)]
 
 
@@ -295,7 +325,7 @@ def random_hypertree(m: int, k: int, seed: int) -> UniformHypergraph:
     ones.  The anchors are drawn first and the edges built once."""
     rng = random.Random(seed)
     anchors = [rng.randrange(k + i * (k - 1)) for i in range(m - 1)]
-    return _attach_pendant_edges(build(k, k, [tuple(range(k))]), anchors)
+    return _with_pendants(k, k, [tuple(range(k))], anchors)
 
 
 def random_connected_hypergraph(m: int, k: int, seed: int) -> UniformHypergraph:

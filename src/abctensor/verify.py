@@ -14,7 +14,9 @@ graph is requested once per weighting its judgements take.  Given a
 name prefix the suite runs only the groups of checks whose names can
 start with it.  No estimate is kept from one call to the next.  Every
 extremal check is one judgement, ``_leader``, of the first of a ranked
-class.
+class.  The hypertree scans of one edge size k are one plan, from one
+growth up to their largest m; a leader is judged by the code growth
+gave it against one code of its target's graph.
 """
 
 from __future__ import annotations
@@ -32,19 +34,19 @@ from .generators import (
     BudgetExceededError,
     complete,
     double_star,
-    enumerate_hypertrees,
     enumerate_small_unicyclic,
     example_h,
     hypercycle,
     hyperpath,
     hyperstar,
+    hypertree_classes,
     power,
     unicyclic_family,
 )
 from .hypergraph import UniformHypergraph, classify, degrees
 from .spectral import SolveOptions, SpectralEstimate, residual_of, spectral_radii
 from .spectral import spectral_radius  # noqa: F401  (perfbench/spans.py wraps this binding)
-from .tensor import TensorOperator, Weighting, abc_index, edge_weights, k_unit
+from .tensor import TensorOperator, Weighting, edge_weights, k_unit
 
 HOLDS = "holds"
 EQUALITY = "equality-attained"
@@ -147,8 +149,10 @@ def check_mean_bound(G: UniformHypergraph, opts=None) -> CheckResult:
 
 def _mean_bound(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     k = G.k
-    bound = math.factorial(k) * abc_index(G) / G.n
-    row = np.bincount(G.edge_array.ravel(), np.repeat(edge_weights(G, Weighting.ABC), k), G.n)
+    weights = edge_weights(G, Weighting.ABC)
+    index = sum(weights.tolist()) / math.factorial(k - 1)  # abc_index(G), bit for bit
+    bound = math.factorial(k) * index / G.n
+    row = np.bincount(G.edge_array.ravel(), np.repeat(weights, k), G.n)
     constant_rows = bool(row.max() - row.min() <= 1e-12 * max(1.0, row.max()))
     if _interval(est)[1] < bound - SLACK:
         status = VIOLATED
@@ -271,9 +275,14 @@ def _leader(
     return CheckResult(name, HOLDS if ok else VIOLATED, est.rho, closed, lead, detail)
 
 
+def _code_of(form: str, m: int, k: int) -> bytes:
+    """The canonical code of the named closed form's graph."""
+    return canonical_code(cf.closed_form_graph(form, m=m, k=k))
+
+
 def _is_graph_of(form: str, m: int, k: int):
     """A test of whether a graph is isomorphic to the named closed form's graph."""
-    code = canonical_code(cf.closed_form_graph(form, m=m, k=k))
+    code = _code_of(form, m, k)
     return lambda G: canonical_code(G) == code
 
 
@@ -287,37 +296,54 @@ def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
     unique max S_{m,k}; unique second max D_{m,1}^k (m >= 4); unique
     non-power max S_{m,k;m-3,1,1} (k >= 3, m >= 4); maxima match their
     closed forms; consecutive ranks gap > 1e-9."""
-    return _run([_hypertree_plan(m, k)], opts)
-
-
-def _hypertree_plan(m: int, k: int):
     try:
-        trees = enumerate_hypertrees(m, k)
+        plan = _hypertree_plan([m], k)
     except BudgetExceededError as exc:
         nan = float("nan")
-        out = [CheckResult(f"hypertree-scan-max[m={m},k={k}]", INCONCLUSIVE, nan, nan, nan, str(exc))]
-        return [], lambda ests: out
+        return [CheckResult(f"hypertree-scan-max[m={m},k={k}]", INCONCLUSIVE, nan, nan, nan, str(exc))]
+    return _run([plan], opts)
 
-    def leader(kind, ranked, form, detail, floor):
-        closed = cf.closed_form(form, m=m, k=k)
-        name = f"hypertree-scan-{kind}[m={m},k={k}]"
-        return _leader(name, ranked, _is_graph_of(form, m, k), closed, detail, floor)
+
+def _hypertree_plan(ms: list[int], k: int):
+    """The hypertree scans of every size in ``ms`` at edge size k, from
+    one growth up to the largest.  Each class is ranked as a (code, tree)
+    item with its code from that growth."""
+    levels = hypertree_classes(max(ms), k)
+    classes = [sorted(levels[m - 1].items()) for m in ms]
 
     def judge(ests):
-        ranked = _ranked(zip(ests, trees))
-        radii = "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
-        results = [leader("max", ranked, "hyperstar", f"classes={len(ranked)}; radii: {radii}", 0.0)]
-        if m >= 4 and len(ranked) >= 2:
-            detail = "second maximum is the lifted double star"
-            results.append(leader("second", ranked[1:], "double-star-1", detail, -math.inf))
-        if k >= 3 and m >= 4:
-            non_power = [(est, T) for est, T in ranked if classify(T).power_hypertree is False]
-            if non_power:
-                detail = f"non-power classes={len(non_power)}"
-                results.append(leader("nonpower", non_power, "s311", detail, -math.inf))
-        return results
+        ests = iter(ests)
+        return [res for m, items in zip(ms, classes)
+                for res in _hypertree_scan(m, k, _ranked([(next(ests), item) for item in items]))]
 
-    return [(T, Weighting.ABC) for T in trees], judge
+    return [(T, Weighting.ABC) for items in classes for _, T in items], judge
+
+
+def _hypertree_scan(m: int, k: int, ranked) -> list[CheckResult]:
+    """The judgements of the hypertree scan of size m, given its ranked
+    (estimate, (code, tree)) pairs."""
+    radii = "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
+    detail = f"classes={len(ranked)}; radii: {radii}"
+    results = [_hypertree_leader("max", m, k, ranked, "hyperstar", detail, 0.0)]
+    if m >= 4 and len(ranked) >= 2:
+        detail = "second maximum is the lifted double star"
+        results.append(_hypertree_leader("second", m, k, ranked[1:], "double-star-1", detail, -math.inf))
+    if k >= 3 and m >= 4:
+        non_power = [(est, item) for est, item in ranked if classify(item[1]).power_hypertree is False]
+        if non_power:
+            detail = f"non-power classes={len(non_power)}"
+            results.append(_hypertree_leader("nonpower", m, k, non_power, "s311", detail, -math.inf))
+    return results
+
+
+def _hypertree_leader(kind: str, m: int, k: int, ranked, form: str, detail: str, floor: float) -> CheckResult:
+    """``_leader`` of ranked (estimate, (code, tree)) pairs, whose target
+    is the named closed form's graph: one code of that graph against the
+    leader's code from growth."""
+    closed = cf.closed_form(form, m=m, k=k)
+    code = _code_of(form, m, k)
+    name = f"hypertree-scan-{kind}[m={m},k={k}]"
+    return _leader(name, ranked, lambda item: item[0] == code, closed, detail, floor)
 
 
 def _partitions_desc(total: int, slots: int):
@@ -488,9 +514,10 @@ def default_suite(
         plans += [_power_plan(double_star(mm, 1), max(3, max(ks))) for mm in ms if mm >= 3]
     for kk in ks:
         if kk >= 3:
+            tree_ms = [mm for mm in ms if mm <= ENUM_BUDGET.get(kk, 4)]
+            if tree_ms and _wanted(prefix, "hypertree-scan-"):
+                plans.append(_hypertree_plan(tree_ms, kk))
             for mm in ms:
-                if mm <= ENUM_BUDGET.get(kk, 4) and _wanted(prefix, "hypertree-scan-"):
-                    plans.append(_hypertree_plan(mm, kk))
                 for gg in gs:
                     if gg <= mm <= 7 and _wanted(prefix, "unicyclic-scan["):
                         plans.append(_unicyclic_plan(mm, kk, gg))

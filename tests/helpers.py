@@ -98,6 +98,46 @@ def grow_at_every_vertex(base: UniformHypergraph, steps: int) -> dict:
     return reps
 
 
+def grow_each_size(base: UniformHypergraph, steps: int) -> dict:
+    """Pendant-edge growth from ``base`` by ``steps`` rounds, attaching at
+    the least vertex of each automorphism orbit, keyed by canonical code
+    in first-found order: one size grown from scratch, the reference for
+    a growth that keeps every size."""
+    from abctensor.canon import canonical_code, vertex_orbits
+    from abctensor.generators import attach_pendant_edge
+
+    reps = {canonical_code(base): base}
+    for _ in range(steps):
+        grown: dict = {}
+        for G in reps.values():
+            for v, least in enumerate(vertex_orbits(G)):
+                if v == least:
+                    H = attach_pendant_edge(G, v)
+                    grown.setdefault(canonical_code(H), H)
+        reps = grown
+    return reps
+
+
+def count_calls(monkeypatch, owner, attr: str) -> list:
+    """Swap ``owner.attr`` for a counting wrapper in every abctensor module
+    that binds it; the returned one-item list holds the count."""
+    import sys
+
+    original = getattr(owner, attr)
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "abctensor" or name.startswith("abctensor.")):
+            for binding, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, binding, counted)
+    return count
+
+
 def build_by_loop(k: int, n: int, edges) -> tuple:
     """``build`` edge by edge: ("edges", the sorted rows of sorted ids) or
     (error class name, edge index) for the first offending edge, checking

@@ -125,6 +125,18 @@ def test_closed_form_outside_domain_is_usage_error(capsys, argv):
     assert rec["exit"] == 2 and cf.CLOSED_FORMS[argv.split()[0]].domain in rec["error"]
 
 
+@pytest.mark.parametrize("argv, takes", [
+    ("u2 --m 2 --k 3 --n 5", "closed form 'u2' takes --m, --k, not --n"),
+    ("hyperstar --m 3 --k 2 --idx 9", "closed form 'hyperstar' takes --m, --k, not --idx"),
+], ids=["u2-n", "hyperstar-idx"])
+def test_closed_form_flag_the_form_does_not_take_is_usage_error(capsys, argv, takes):
+    code, out, err = run(capsys, "closed-form", *argv.split(), "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": takes, "exit": 2}
+    code, out, err = run(capsys, "closed-form", *argv.split())
+    assert code == 2 and out == "" and err == f"error: {takes}\n"
+
+
 def test_verify_subset_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "unicyclic-scan", "--m", "5", "--k", "3", "--json")
     assert code == 0

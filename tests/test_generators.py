@@ -12,6 +12,7 @@ from abctensor import generators as gen
 from abctensor import hypergraph
 from abctensor.generators import BudgetExceededError
 from abctensor.tensor import omega
+from helpers import grow_each_size
 
 
 def test_attach_pendant_edge_single_edge_gives_star2():
@@ -242,6 +243,22 @@ def test_enumeration_budget():
         gen.enumerate_hypertrees(5, 5)
 
 
+def test_one_growth_per_k_matches_growing_each_size_from_scratch():
+    for k in (2, 3, 4, 5):
+        top = gen.ENUM_BUDGET.get(k, 4)
+        levels = gen.hypertree_classes(top, k)
+        assert len(levels) == top
+        edge = build(k, k, [tuple(range(k))])
+        for m, level in enumerate(levels, 1):
+            ref = grow_each_size(edge, m - 1)
+            assert list(level) == list(ref), (k, m)
+            assert all(np.array_equal(level[c].edge_array, ref[c].edge_array) for c in ref)
+            trees = gen.enumerate_hypertrees(m, k)
+            assert [T.edge_array.tolist() for T in trees] == [ref[c].edge_array.tolist() for c in sorted(ref)]
+    with pytest.raises(BudgetExceededError, match=r"enumerate_hypertrees\(7,3\) exceeds budget m <= 6"):
+        gen.hypertree_classes(7, 3)
+
+
 def test_unicyclic_enumeration_counts_and_kinds():
     for m, count in ((3, 3), (4, 10), (5, 31)):
         shapes = gen.enumerate_small_unicyclic(m, 3)
@@ -294,6 +311,20 @@ def _compositions(total, parts):
 
 def _same(G, H):
     return G.k == H.k and G.n == H.n and np.array_equal(G.edge_array, H.edge_array)
+
+
+def test_attach_pendant_edge_equals_a_fresh_build():
+    graphs = [T for k in (2, 3, 4) for m in (1, 2, 3, 4) for T in gen.enumerate_hypertrees(m, k)]
+    graphs += gen.enumerate_small_unicyclic(4, 3) + [gen.cycle_graph(5), gen.complete(5, 3)]
+    for G in graphs:
+        for v in range(G.n):
+            fresh = build(G.k, G.n + G.k - 1, list(G.edges) + [(v,) + tuple(range(G.n, G.n + G.k - 1))])
+            H = gen.attach_pendant_edge(G, v)
+            assert _same(H, fresh) and not H.edge_array.flags.writeable
+            assert H.edge_array.dtype == fresh.edge_array.dtype and H.edge_array.flags.c_contiguous
+    for v in (1.0, 1.5, np.float64(2.0)):
+        with pytest.raises(InvalidHypergraphError, match="vertex ids must be integers"):
+            gen.attach_pendant_edge(gen.hyperstar(2, 3), v)
 
 
 def test_pendant_families_match_the_attach_loop():

@@ -11,6 +11,7 @@ from abctensor import generators as gen
 from abctensor import verify as ver
 from abctensor.closed_forms import rho_abc_hyperpath, rho_abc_u2, rho_abc_u3
 from abctensor.verify import EQUALITY, HOLDS
+from helpers import count_calls
 
 
 def test_edge_sum_bounds_hypercycle_equality():
@@ -253,6 +254,20 @@ def test_two_suite_calls_make_the_same_solves(monkeypatch):
     assert once == len(weightings) - once == 376
     assert calls == [376, 376]
     assert len(first) == len(second) == 345
+
+
+def test_a_suite_pass_does_its_structure_work_once(monkeypatch):
+    # One hypertree growth per edge size, one build per pendant family
+    # member and one code per leader's target: 232 builds, 99 codes and
+    # 80 attachments when written.  Growing each m again, or building a
+    # member twice, breaks these caps.
+    from abctensor import canon, hypergraph
+
+    builds = count_calls(monkeypatch, hypergraph, "build")
+    codes = count_calls(monkeypatch, canon, "canonical_code")
+    attachments = count_calls(monkeypatch, gen, "attach_pendant_edge")
+    assert len(ver.default_suite()) == 345
+    assert builds[0] <= 330 and codes[0] <= 100 and attachments[0] <= 80
 
 
 def test_suite_rejects_g_before_any_solve(monkeypatch):
