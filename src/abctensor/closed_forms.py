@@ -32,7 +32,6 @@ class PolynomialSpec:
     name: str
     coeffs: tuple[float, ...]
     bracket: tuple[float, float]
-    source: str = ""
 
     def __call__(self, t: float) -> float:
         acc = 0.0
@@ -114,7 +113,6 @@ def eta_poly(m: int) -> PolynomialSpec:
             1.0,
         ),
         bracket=(0.0, float(m - 1)),
-        source="characteristic reduction of S_{m,3;m-3,1,1}",
     )
 
 
@@ -135,7 +133,6 @@ def linear_unicyclic_poly(m: int) -> PolynomialSpec:
             1.0,
         ),
         bracket=(0.0, math.sqrt(m - 1)),
-        source="characteristic reduction of U_{m,3}",
     )
 
 
@@ -180,7 +177,6 @@ def t_poly(m: int, idx: int) -> PolynomialSpec:
         name=f"t{idx}[m={m}]",
         coeffs=coeffs,
         bracket=(max(0.5, m - 6.0), max(3.0, m - 4.0)),
-        source=f"characteristic reduction of T_{{m,{idx}}}",
     )
 
 
@@ -197,7 +193,6 @@ def quartic_s4_poly(m: int) -> PolynomialSpec:
             1.0,
         ),
         bracket=(max(0.5, m - 6.0), max(2.0, m - 4.0)),
-        source="characteristic reduction of S_{m,4;m-4,1,1,1}",
     )
 
 
@@ -208,7 +203,6 @@ def adjacency_s421_poly(m: int) -> PolynomialSpec:
         name=f"adj_s421[m={m}]",
         coeffs=(8.0 - 2 * m, 3.0 * m - 10, -float(m), 1.0),
         bracket=(m - 3.0, m - 2.0),
-        source="characteristic reduction of S_{m,k;m-4,2,1} (adjacency)",
     )
 
 

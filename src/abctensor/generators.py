@@ -41,11 +41,11 @@ def attach_pendant_edge(G: UniformHypergraph, v: int) -> UniformHypergraph:
     ids are all fresh, belongs right after the last row starting at or
     below v: it is spliced in there, which is what ``build`` would do."""
     k, n, E = G.k, G.n, G.edge_array
+    if not isinstance(v, (int, np.integer)):
+        raise InvalidHypergraphError("vertex ids must be integers")
     if not (0 <= v < n):
         raise ValueError(f"vertex {v} outside [0, {n})")
     check_vertex_count(n + k - 1)
-    if not isinstance(v, (int, np.integer)):
-        raise InvalidHypergraphError("vertex ids must be integers")
     at = int(np.searchsorted(E[:, 0], v, side="right"))
     S = np.empty((len(E) + 1, k), dtype=np.int64)
     S[:at], S[at], S[at + 1:] = E[:at], (v, *range(n, n + k - 1)), E[at:]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import io
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -373,8 +372,6 @@ _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 _ARRAY_BYTES = b"0123456789- \t\n"
 """All that the edge lines read by ``np.loadtxt`` may hold."""
 
-_INDENTED_COMMENT = re.compile(rb"\n[ \t]+#")
-
 
 def parse_uhg(text: str) -> UniformHypergraph:
     """Parse the UHG v1 text format.
@@ -429,8 +426,8 @@ def _edge_array(body: str, k: int, m: int) -> Optional[np.ndarray]:
     ``(m, k)`` int64 array, or None where ``np.loadtxt`` might read them
     otherwise than ``int()`` line by line does, or cannot read them."""
     data = body.encode("ascii")
-    if b"#" in data:
-        data = _without_comment_lines(data)
+    if b"#" in data:  # drop each line whose first byte other than a space or tab is "#"
+        data = b"\n".join(line for line in data.split(b"\n") if not line.lstrip(b" \t").startswith(b"#"))
     if data.translate(None, _ARRAY_BYTES) or not data or data.isspace():
         return None  # a stray character, or no data, which loadtxt warns about
     try:
@@ -438,26 +435,6 @@ def _edge_array(body: str, k: int, m: int) -> Optional[np.ndarray]:
     except (ValueError, OverflowError):
         return None
     return A if A.shape == (m, k) else None
-
-
-def _without_comment_lines(data: bytes) -> bytes:
-    """``data`` (ASCII, "\\n" line breaks) without the lines whose first
-    byte other than a space or tab is ``#``.
-
-    With a line break put in front, every line starts after a line break
-    at some position p; a comment line's bytes from p up to the next line
-    break are dropped, so the line goes and the lines around it stay.
-    """
-    # Indented comment lines move to column 0 first.
-    b = np.frombuffer(_INDENTED_COMMENT.sub(b"\n#", b"\n" + data), np.uint8)
-    breaks = np.flatnonzero(b == ord("\n"))
-    first = b[np.minimum(breaks + 1, b.size - 1)]
-    comment = (first == ord("#")) & (breaks + 1 < b.size)
-    ends = np.append(breaks[1:], b.size)
-    edge = np.zeros(b.size + 1, np.int8)  # +1 where a dropped span starts, -1 where it ends
-    edge[breaks[comment]] += 1
-    edge[ends[comment]] -= 1
-    return b[np.cumsum(edge[:-1], dtype=np.int8) == 0].tobytes()
 
 
 def _parse_lines(text: str) -> UniformHypergraph:

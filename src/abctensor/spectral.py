@@ -23,14 +23,15 @@ solve.  Newton brackets end a few ulps wide, below the rounding error of
 a computed ratio, so a bracket that narrow is widened by that error.
 
 ``spectral_radii`` is the one loop; ``spectral_radius`` is a batch of
-one.  It stacks its operators by edge size k, and the members of a
-stack take every step in lock step.  Each member keeps its own bracket,
-switch rule and kind of step.  The members lie in the stack sorted by
-n, member b's vertex v numbered start[b] + v, so each contraction is one
-kernel call on the edges of the members taking that step, and each
-Newton step factors the bordered systems of each run of equal n as one
-stack.  A member leaves when its own bracket closes, so every estimate
-equals a solve of that operator alone, bit for bit.
+one, on the same path.  It stacks its operators by edge size k, and the
+members of a stack take every step in lock step.  Each member keeps its
+own bracket, switch rule and kind of step.  A layout numbers members
+end to end, sorted by n, member b's vertex v as start[b] + v, on one
+edge array of their own; each step contracts the layout of the members
+taking it in one kernel call, and each Newton step factors the bordered
+systems of each run of equal n as one stack.  A member leaves when its
+own bracket closes, so every estimate equals a solve of that operator
+alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import _kernels
 from .hypergraph import UniformHypergraph, _component_roots
-from .tensor import TensorOperator, Weighting, _degree_weights, edge_weights, k_unit
+from .tensor import TensorOperator, Weighting, _degree_weights, k_unit
 
 
 NEWTON_MAX_N = 4096
@@ -204,7 +205,8 @@ def spectral_radii(
     if not all(stack.connected() for _, stack in stacks):
         raise NotConnectedError("hypergraph is not connected")
     out: list = [None] * len(problems)
-    for index, stack in stacks:
+    while stacks:  # each stack, its layouts and their workspaces go once solved
+        index, stack = stacks.pop()
         for i, est in zip(index, _solve(stack, opts)):
             out[i] = est
     for i, est in enumerate(out):
@@ -217,104 +219,96 @@ def spectral_radii(
 
 class _Stack:
     """The (hypergraph, weights or Weighting) problems of one k, sorted
-    by n, as one operator: member b's vertex v is numbered start[b] + v,
-    so that one kernel call contracts the members of any subset,
-    renumbered from 0 the same way.  The weights, the connectivity test
-    and the zero test are done once for all members; a stack of one
-    keeps its hypergraph's own edge array.  Each subset kept has its own
-    kernel workspace, so a stack belongs to one solve."""
+    by n: their graphs, max degrees and full ``layout``.  The weights,
+    the connectivity test and the zero test are done once for all
+    members.  Each layout kept has its own kernel workspace, so a stack
+    belongs to one solve."""
 
     def __init__(self, problems):
         self.graphs = [G for G, _ in problems]
         self.k = self.graphs[0].k
-        self.sizes = np.array([G.n for G in self.graphs])
-        self.cut = np.cumsum([0] + [G.m for G in self.graphs]).tolist()  # member b's edges
+        sizes = np.array([G.n for G in self.graphs])
+        edges = np.concatenate([G.edge_array for G in self.graphs])
+        self.layout = _Layout(self.k, sizes, [G.m for G in self.graphs], edges, np.empty(len(edges)))
+        degrees = np.bincount(self.layout.edges.ravel(), minlength=int(sizes.sum()))
+        self.max_degree = np.maximum.reduceat(degrees, self.layout.starts).tolist()
+        self._weigh(problems, degrees)
         self._cache: dict = {}
-        if len(problems) == 1:
-            ((G, w),) = problems
-            self.edges, degrees = G.edge_array, G.degree_array
-            self.weights = w if isinstance(w, np.ndarray) else edge_weights(G, w)
-            self.starts, self.owner = np.zeros(1, dtype=int), None
-        else:
-            self.starts = np.cumsum(self.sizes) - self.sizes
-            self.owner = np.repeat(np.arange(len(problems)), np.diff(self.cut))
-            self.edges = np.concatenate([G.edge_array for G in self.graphs])
-            self.edges += self.starts[self.owner][:, None]
-            degrees = np.bincount(self.edges.ravel(), minlength=int(self.sizes.sum()))
-            self.weights = self._weigh(problems, degrees)
-        self.max_degree = np.maximum.reduceat(degrees, self.starts).tolist()
 
     def _weigh(self, problems, degrees):
-        """The weights of every member's edges: a given array as it is,
-        else one ``_degree_weights`` call per weighting over the stacked
-        degrees, equal bit for bit to ``edge_weights``."""
-        W = np.empty(len(self.edges))
-        rules: dict = {}
+        """Fill in the weights of every member's edges: a given array as
+        it is, else one ``_degree_weights`` call per weighting over the
+        stacked degrees, equal bit for bit to ``edge_weights``."""
+        layout = self.layout
+        W, rules = layout.weights, {}
         for b, (_, w) in enumerate(problems):
             if isinstance(w, np.ndarray):
-                W[self.cut[b] : self.cut[b + 1]] = w
+                W[layout.cut[b] : layout.cut[b + 1]] = w
             else:
                 rules.setdefault(w, []).append(b)
         for w, members in rules.items():
             mask = np.zeros(len(problems), dtype=bool)
             mask[members] = True
-            rows = mask[self.owner]
-            W[rows] = 1.0 if w is Weighting.ADJACENCY else _degree_weights(degrees[self.edges[rows]], self.k, w)
-        return W
+            rows = mask[layout.owner]
+            W[rows] = 1.0 if w is Weighting.ADJACENCY else _degree_weights(degrees[layout.edges[rows]], self.k, w)
 
     def connected(self) -> bool:
         """Whether every member is connected: its least vertex is the root
         of all of its vertices."""
-        if len(self.graphs) == 1:
-            return self.graphs[0].connected
-        roots = _component_roots(self.edges, int(self.sizes.sum()))
-        return bool(np.array_equal(roots, np.repeat(self.starts, self.sizes)))
+        layout = self.layout
+        roots = _component_roots(layout.edges, int(layout.sizes.sum()))
+        return bool(np.array_equal(roots, np.repeat(layout.starts, layout.sizes)))
 
     def weighted(self) -> np.ndarray:
         """Whether each member has a nonzero weight."""
-        if len(self.graphs) == 1:
-            return np.array([not np.all(self.weights == 0.0)])
-        return np.bincount(self.owner[self.weights != 0.0], minlength=len(self.graphs)) > 0
+        layout = self.layout
+        return np.bincount(layout.owner[layout.weights != 0.0], minlength=len(self.graphs)) > 0
 
-    def subset(self, members) -> "_Subset":
-        """The layout of ``members`` (ascending positions); the last few are kept."""
+    def subset(self, members) -> "_Layout":
+        """The layout of ``members`` (ascending positions): the full one
+        for all of them, else one of the last few taken, or a new one."""
+        if len(members) == len(self.graphs):
+            return self.layout
         key = members.tobytes()
         sub = self._cache.get(key)
         if sub is None:
             if len(self._cache) >= 4:
                 self._cache.clear()
-            sub = self._cache[key] = _Subset(self, members)
+            sub = self._cache[key] = self.layout.take(members)
         return sub
 
 
-class _Subset:
-    """Some members of a stack, numbered from 0 as the stack numbers all
-    of them: their ``sizes``, first vertices ``starts``, ``runs`` of
-    equal n as (first vertex, end, count, n), edges, weights, kernel
-    workspace, each edge's member ``owner`` (None in a stack of one) and
-    each member's first edge ``cut``.  A subset keeps no reference to its
-    stack, so the two form no cycle."""
+class _Layout:
+    """Members of one k numbered end to end, member b's vertex v as
+    ``starts[b] + v``, so that one kernel call contracts all of them:
+    their ``sizes``, ``runs`` of equal n as (first vertex, end, count,
+    n), edges, weights, kernel workspace, each edge's member ``owner``
+    and each member's first edge ``cut``.  A layout keeps no reference
+    to its stack, so the two form no cycle."""
 
-    def __init__(self, stack, members):
-        self.k, self.sizes = stack.k, stack.sizes[members]
-        ends = np.cumsum(self.sizes)
-        self.starts = ends - self.sizes
-        cut = [0, *((self.sizes[1:] != self.sizes[:-1]).nonzero()[0] + 1).tolist(), len(members)]
-        first = [*self.starts[cut[:-1]].tolist(), int(ends[-1])]
-        self.runs = [(first[r], first[r + 1], cut[r + 1] - cut[r], int(self.sizes[cut[r]])) for r in range(len(cut) - 1)]
+    def __init__(self, k, sizes, counts, edges, weights, shift=0):
+        """Member b has ``sizes[b]`` vertices and the next ``counts[b]``
+        rows of ``edges``, whose vertex ids are its own plus ``shift[b]``;
+        ``edges`` is renumbered in place."""
+        self.k, self.sizes = k, sizes
+        ends = np.cumsum(sizes)
+        self.starts = ends - sizes
+        self.cut = [0, *np.cumsum(counts).tolist()]
+        self.owner = np.repeat(np.arange(len(sizes)), counts)
+        edges += (self.starts - shift)[self.owner][:, None]
+        bounds = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
+        first = [*self.starts[bounds[:-1]].tolist(), int(ends[-1])]
+        self.runs = [(first[r], first[r + 1], bounds[r + 1] - bounds[r], int(sizes[bounds[r]])) for r in range(len(bounds) - 1)]
+        self.edges, self.weights, self.work = edges, weights, _kernels.Workspace(edges)
         self._chunks = None
-        if len(members) == len(stack.sizes):
-            E, W, self.owner, self.cut = stack.edges, stack.weights, stack.owner, stack.cut
-        else:
-            self.cut = [0, *np.cumsum(np.diff(stack.cut)[members]).tolist()]
-            slot = np.full(len(stack.sizes), -1)
-            slot[members] = np.arange(len(members))
-            at = slot[stack.owner]
-            keep = at >= 0
-            self.owner = at[keep]
-            E = stack.edges[keep] - (stack.starts[members] - self.starts)[self.owner][:, None]
-            W = stack.weights[keep]
-        self.edges, self.weights, self.work = E, W, _kernels.Workspace(E)
+
+    def take(self, members) -> "_Layout":
+        """The layout of ``members`` (ascending positions) alone."""
+        mask = np.zeros(len(self.sizes), dtype=bool)
+        mask[members] = True
+        rows = mask[self.owner]
+        counts = np.diff(self.cut)[members]
+        return _Layout(self.k, self.sizes[members], counts, self.edges[rows], self.weights[rows], self.starts[members])
 
     def rep(self, values):
         """One value per member, spread over its vertices: the bare value
@@ -338,10 +332,7 @@ class _Subset:
                     block[a:b] = np.arange(b - a) * (n + 1) ** 2
                 first += count
             side, base = self.sizes + 1, block - self.starts * (self.sizes + 2)
-            if len(self.sizes) == 1:
-                self._chunks = chunks, side[0], base[0]
-            else:
-                self._chunks = chunks, side[self.owner][:, None], base[self.owner][:, None]
+            self._chunks = chunks, side[self.owner][:, None], base[self.owner][:, None]
         return self._chunks
 
     def apply(self, X):
@@ -374,7 +365,7 @@ def _solve(stack, opts) -> list:
     out: list = [None] * len(stack.graphs)
     weighted = stack.weighted()
     for b in (~weighted).nonzero()[0].tolist():
-        out[b] = SpectralEstimate(0.0, _initial_vector(int(stack.sizes[b]), k, opts), 0.0, 0.0, 0, 0.0, 0)
+        out[b] = SpectralEstimate(0.0, _initial_vector(int(stack.layout.sizes[b]), k, opts), 0.0, 0.0, 0, 0.0, 0)
     live = weighted.nonzero()[0]
     if not len(live):
         return out
@@ -458,7 +449,6 @@ def _solve(stack, opts) -> list:
         for b, r in zip(done.tolist(), res.tolist()):
             rho, x, lower, upper, iters, newton_steps = out[b]
             out[b] = SpectralEstimate(rho, x, lower, upper, iters, r, newton_steps)
-    stack._cache.clear()  # the kept subsets and their kernel workspaces
     return out
 
 
@@ -610,7 +600,7 @@ def _newton_step(stack, members, X, XK1, Y, R, hi, s):
     member, the old one where no theta succeeded within ``_HALVINGS``
     halvings or the system is singular.
 
-    Each chunk of members of one n (``_Subset.chunks``) is built and
+    Each chunk of members of one n (``_Layout.chunks``) is built and
     factored as one stack.
     """
     sub = stack.subset(members)

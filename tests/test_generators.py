@@ -322,9 +322,12 @@ def test_attach_pendant_edge_equals_a_fresh_build():
             H = gen.attach_pendant_edge(G, v)
             assert _same(H, fresh) and not H.edge_array.flags.writeable
             assert H.edge_array.dtype == fresh.edge_array.dtype and H.edge_array.flags.c_contiguous
-    for v in (1.0, 1.5, np.float64(2.0)):
-        with pytest.raises(InvalidHypergraphError, match="vertex ids must be integers"):
-            gen.attach_pendant_edge(gen.hyperstar(2, 3), v)
+
+
+@pytest.mark.parametrize("v", [1.0, 1.5, np.float64(2.0), "a", "1", None])
+def test_attach_pendant_edge_rejects_a_non_integer_vertex(v):
+    with pytest.raises(InvalidHypergraphError, match="vertex ids must be integers"):
+        gen.attach_pendant_edge(gen.hyperstar(2, 3), v)
 
 
 def test_pendant_families_match_the_attach_loop():

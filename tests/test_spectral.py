@@ -212,7 +212,7 @@ def test_fast_inputs_stay_on_power_steps():
 
 def _bordered_matrix(op, x, xk1, lam):
     """The bordered Newton matrix of one operator at x."""
-    sub = _Stack([(op.G, op.weights)]).subset(np.arange(1))
+    sub = _Stack([(op.G, op.weights)]).layout
     ((_, M),) = _bordered_matrices(sub, x, xk1, np.array([lam]))
     return M[0]
 

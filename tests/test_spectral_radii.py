@@ -3,6 +3,7 @@ of that member alone, bit for bit, whatever the batch mixes, and each
 member's failure is its own."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -201,20 +202,56 @@ def test_newton_stacks_split_into_chunks_of_bounded_size(monkeypatch):
     _assert_batch_equals_singles(problems, SolveOptions())
 
 
-def test_a_batch_of_one_contracts_its_own_edge_array(monkeypatch):
+def test_a_batch_of_one_contracts_one_edge_array_through_one_workspace(monkeypatch):
     op = TensorOperator.from_weighting(gen.hyperpath(30, 3), ABC)
-    contract = spectral._kernels.contract
-    edges = []
+    contract, allocate = spectral._kernels.contract, spectral._kernels.Workspace._allocate
+    edges, allocations = [], []
 
     def recorded(edge_idx, weights, x, out, *, work):
         edges.append(edge_idx)
         contract(edge_idx, weights, x, out, work=work)
 
+    def counted(work):
+        allocations.append(work.edge_idx)
+        allocate(work)
+
     monkeypatch.setattr(spectral._kernels, "contract", recorded)
+    monkeypatch.setattr(spectral._kernels.Workspace, "_allocate", counted)
     est = spectral_radius(op)
     assert est.newton_steps > 0 and len(edges) > est.iters
-    assert all(E is op.G.edge_array for E in edges)
-    assert _Stack([(op.G, op.weights)]).subset(np.arange(1)).edges is op.G.edge_array
+    assert all(E is edges[0] for E in edges) and len(allocations) == 1 and allocations[0] is edges[0]
+    assert np.array_equal(edges[0], op.G.edge_array)
+
+
+def test_a_taken_layout_equals_the_layout_of_its_members_alone():
+    # Mixed weightings, given arrays among them, and runs of equal n.
+    graphs = [gen.hyperpath(2, 3), gen.hyperstar(2, 3), gen.hyperpath(4, 3), gen.random_hypertree(4, 3, 1),
+              gen.hyperstar(4, 3), gen.random_hypertree(6, 3, 2), gen.unicyclic_family(6, 3, 3, (2, 1, 0))]
+    problems = [(G, w) for G, w in zip(graphs, [ABC, ADJ, RND, ABC, ABC, RND, ADJ])]
+    problems[3] = (graphs[3], TensorOperator.from_weighting(graphs[3], RND).weights)
+    problems.sort(key=lambda p: p[0].n)
+    stack = _Stack(problems)
+    for members in ([0], [6], [1, 2], [0, 2, 3, 5], [2, 3, 4, 5, 6], list(range(7))):
+        taken = stack.layout.take(np.array(members))
+        alone = _Stack([problems[b] for b in members]).layout
+        for name in ("sizes", "starts", "edges", "weights", "owner"):
+            A, B = getattr(taken, name), getattr(alone, name)
+            assert A.dtype == B.dtype and np.array_equal(A, B), name
+        assert (taken.cut, taken.runs) == (alone.cut, alone.runs)
+    assert stack.subset(np.arange(7)) is stack.layout
+
+
+def test_no_solved_stack_is_reachable_when_the_next_solve_starts(monkeypatch):
+    solve, solved = spectral._solve, []
+
+    def checked(stack, opts):
+        assert all(ref() is None for ref in solved)
+        solved.append(weakref.ref(stack))
+        return solve(stack, opts)
+
+    monkeypatch.setattr(spectral, "_solve", checked)
+    spectral_radii([(gen.hyperpath(m, k), w) for k in (2, 3, 4) for m in (3, 5) for w in Weighting])
+    assert len(solved) == 3
 
 
 def _assert_batch_equals_single_loops(problems, opts):
