@@ -46,11 +46,20 @@ def _flags(args, *names) -> list:
     return [getattr(args, name) for name in names]
 
 
+def _double_star(gen, args) -> UniformHypergraph:
+    """D_{m,a} with a the one value of ``--a``, or 1 without it."""
+    (m,) = _flags(args, "m")
+    a = (1,) if args.a is None else args.a
+    if len(a) != 1:
+        raise ValueError(f"--family double-star takes one --a value, not {len(a)}")
+    return gen.double_star(m, a[0])
+
+
 POWER_BASES = {
     "star": lambda gen, args: gen.hyperstar(*_flags(args, "m"), 2),
     "path": lambda gen, args: gen.hyperpath(*_flags(args, "m"), 2),
     "cycle": lambda gen, args: gen.cycle_graph(*_flags(args, "g")),
-    "double-star": lambda gen, args: FAMILIES["double-star"](gen, args),
+    "double-star": _double_star,
     "unicyclic-graph": lambda gen, args: gen.unicyclic_graph(*_flags(args, "m", "g")),
 }
 """The 2-uniform bases ``--family power --of`` takes, each built with
@@ -67,7 +76,7 @@ FAMILIES = {
     "hyperpath": lambda gen, args: gen.hyperpath(*_flags(args, "m", "k")),
     "hypercycle": lambda gen, args: gen.hypercycle(*_flags(args, "g", "k")),
     "complete": lambda gen, args: gen.complete(*_flags(args, "n", "k")),
-    "double-star": lambda gen, args: gen.double_star(*_flags(args, "m"), args.a[0] if args.a else 1),
+    "double-star": _double_star,
     "power": _power,
     "s-comp": lambda gen, args: gen.s_composition(*_flags(args, "m", "k", "a")),
     "unicyclic": lambda gen, args: gen.unicyclic_family(*_flags(args, "m", "k", "g", "a")),

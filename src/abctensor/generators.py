@@ -64,11 +64,6 @@ def _with_pendants(k: int, n: int, edges, anchors: Iterable[int]) -> UniformHype
     return build(k, n, edges)
 
 
-def _star_edges(m: int, k: int) -> list[tuple[int, ...]]:
-    """The edges of S_{m,k}: center 0, then each edge's k-1 fresh ids."""
-    return [(0,) + tuple(range(1 + i * (k - 1), 1 + (i + 1) * (k - 1))) for i in range(m)]
-
-
 def _cycle_edges(g: int, k: int) -> list[tuple[int, ...]]:
     """The edges of C_{g,k}: edge i is (i(k-1), ..., i(k-1)+k-1) mod g(k-1)."""
     n = g * (k - 1)
@@ -79,19 +74,16 @@ def hyperstar(m: int, k: int) -> UniformHypergraph:
     """S_{m,k}: m edges through a common center, n = m(k-1)+1."""
     if m < 1 or k < 2:
         raise ValueError("hyperstar needs m >= 1 and k >= 2")
-    n = m * (k - 1) + 1
-    check_vertex_count(n)
-    return build(k, n, _star_edges(m, k))
+    check_vertex_count(m * (k - 1) + 1)
+    return _with_pendants(k, 1, [], [0] * m)
 
 
 def hyperpath(m: int, k: int) -> UniformHypergraph:
     """P_{m,k}: consecutive edges share exactly one vertex."""
     if m < 1 or k < 2:
         raise ValueError("hyperpath needs m >= 1 and k >= 2")
-    n = m * (k - 1) + 1
-    check_vertex_count(n)
-    edges = [tuple(range(i * (k - 1), i * (k - 1) + k)) for i in range(m)]
-    return build(k, n, edges)
+    check_vertex_count(m * (k - 1) + 1)
+    return _with_pendants(k, 1, [], range(0, m * (k - 1), k - 1))
 
 
 def hypercycle(g: int, k: int) -> UniformHypergraph:
@@ -145,11 +137,7 @@ def double_star(m: int, a: int) -> UniformHypergraph:
     if m < 3 or not (1 <= a <= (m - 1) / 2):
         raise ValueError(f"double_star needs m >= 3 and 1 <= a <= (m-1)/2, got m={m}, a={a}")
     check_vertex_count(m + 1)
-    b = m - 1 - a
-    edges = [(0, 1)]
-    edges += [(0, 2 + i) for i in range(a)]
-    edges += [(1, 2 + a + i) for i in range(b)]
-    return build(2, 2 + a + b, edges)
+    return _with_pendants(2, 2, [(0, 1)], [0] * a + [1] * (m - 1 - a))
 
 
 def s_composition(m: int, k: int, a: Sequence[int]) -> UniformHypergraph:
@@ -214,31 +202,15 @@ def t_family(m: int, idx: int) -> UniformHypergraph:
         raise ValueError("idx must be in {1,2,3,4}")
     if m < 5:
         raise ValueError(f"t_family idx {idx} needs m >= 5")
-    if idx == 2:
-        G = s_composition(m - 1, 3, (m - 4, 1, 1))
-        # First pendant edge at vertex 0 is (0, 3, 4); vertex 3 is pendant.
-        return attach_pendant_edge(G, 3)
+    check_vertex_count(2 * m + 1)
     if idx == 3:
-        # Built directly: hub c2=0 with m-4 pendant edges, bridge {0, c1, z},
-        # edge {c1, w1, w2}, and a pendant edge at each of w1, w2.
-        check_vertex_count(2 * m + 1)
-        edges = []
-        nxt = 1
-        for _ in range(m - 4):
-            edges.append((0, nxt, nxt + 1))
-            nxt += 2
-        c1, z = nxt, nxt + 1
-        edges.append((0, c1, z))
-        w1, w2 = nxt + 2, nxt + 3
-        edges.append((c1, w1, w2))
-        nxt += 4
-        edges.append((w1, nxt, nxt + 1))
-        edges.append((w2, nxt + 2, nxt + 3))
-        return build(3, nxt + 4, edges)
-    G = s_composition(m - 1, 3, (m - 4, 1, 1))
-    # Pendant edge at vertex 1 (degree 2) is (1, x, x+1) with x = 3 + 2(m-4).
-    x = 3 + 2 * (m - 4)
-    return attach_pendant_edge(G, x)
+        # Hub 0 with m-3 pendant edges, the last (0, c1, z) with c1 = 2m-7,
+        # then (c1, w1, w2) = (2m-7, 2m-5, 2m-4) and an edge at each of w1, w2.
+        return _with_pendants(3, 1, [], [0] * (m - 3) + [2 * m - 7, 2 * m - 5, 2 * m - 4])
+    # S_{m-1,3;m-4,1,1} on the base edge (0, 1, 2), then a pendant edge at
+    # vertex 3 of the first one at vertex 0 (idx 2), or at vertex 2m-5 of
+    # the one at vertex 1 (idx 4).
+    return _with_pendants(3, 3, [(0, 1, 2)], [0] * (m - 4) + [1, 2, 3 if idx == 2 else 2 * m - 5])
 
 
 def example_h(idx: int) -> UniformHypergraph:
@@ -249,9 +221,9 @@ def example_h(idx: int) -> UniformHypergraph:
     each of its 9 pendant vertices (12 edges, 4-uniform).
     """
     if idx == 1:
-        return _with_pendants(3, 5, _star_edges(2, 3), range(1, 5))
+        return _with_pendants(3, 1, [], [0] * 2 + list(range(1, 5)))
     if idx == 2:
-        return _with_pendants(4, 10, _star_edges(3, 4), range(1, 10))
+        return _with_pendants(4, 1, [], [0] * 3 + list(range(1, 10)))
     raise ValueError("idx must be 1 or 2")
 
 

@@ -27,11 +27,12 @@ one, on the same path.  It stacks its operators by edge size k, and the
 members of a stack take every step in lock step.  Each member keeps its
 own bracket, switch rule and kind of step.  A layout numbers members
 end to end, sorted by n, member b's vertex v as start[b] + v, on one
-edge array of their own; each step contracts the layout of the members
-taking it in one kernel call, and each Newton step factors the bordered
-systems of each run of equal n as one stack.  A member leaves when its
-own bracket closes, so every estimate equals a solve of that operator
-alone, bit for bit.
+edge array of their own.  A solve keeps one layout of its live
+members: each step contracts all of it in one kernel call and keeps the
+rows of the members taking that step, and each Newton step factors the
+bordered systems of each run of equal n as one stack.  A member leaves
+when its own bracket closes, and only then is a smaller layout taken, so
+every estimate equals a solve of that operator alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class _Stack:
     """The (hypergraph, weights or Weighting) problems of one k, sorted
     by n: their graphs, max degrees and full ``layout``.  The weights,
     the connectivity test and the zero test are done once for all
-    members.  Each layout kept has its own kernel workspace, so a stack
+    members.  Its layout has its own kernel workspace, so a stack
     belongs to one solve."""
 
     def __init__(self, problems):
@@ -233,7 +234,6 @@ class _Stack:
         degrees = np.bincount(self.layout.edges.ravel(), minlength=int(sizes.sum()))
         self.max_degree = np.maximum.reduceat(degrees, self.layout.starts).tolist()
         self._weigh(problems, degrees)
-        self._cache: dict = {}
 
     def _weigh(self, problems, degrees):
         """Fill in the weights of every member's edges: a given array as
@@ -263,19 +263,6 @@ class _Stack:
         """Whether each member has a nonzero weight."""
         layout = self.layout
         return np.bincount(layout.owner[layout.weights != 0.0], minlength=len(self.graphs)) > 0
-
-    def subset(self, members) -> "_Layout":
-        """The layout of ``members`` (ascending positions): the full one
-        for all of them, else one of the last few taken, or a new one."""
-        if len(members) == len(self.graphs):
-            return self.layout
-        key = members.tobytes()
-        sub = self._cache.get(key)
-        if sub is None:
-            if len(self._cache) >= 4:
-                self._cache.clear()
-            sub = self._cache[key] = self.layout.take(members)
-        return sub
 
 
 class _Layout:
@@ -335,12 +322,6 @@ class _Layout:
             self._chunks = chunks, side[self.owner][:, None], base[self.owner][:, None]
         return self._chunks
 
-    def apply(self, X):
-        """``T x^{k-1}`` of each member's vector x in X."""
-        out = np.zeros(X.shape)
-        _kernels.contract(self.edges, self.weights, X, out, work=self.work)
-        return out
-
     def evaluate(self, X, s):
         """``x^{[k-1]}`` and the shifted image ``T x^{k-1} + s x^{[k-1]}``
         of each member's vector x in X; the contraction adds into
@@ -355,11 +336,12 @@ def _solve(stack, opts) -> list:
     """The estimate, or the ConvergenceError, of each member of one
     stack, all stepped in lock step.
 
-    X, XK1, Y and R hold the vectors of the live members end to end, as
-    ``sub`` numbers them; entry b of each per-member list is the state of
-    member ``live[b]``.  Members leave when their brackets close.  Each
-    step contracts the members that take it in one call, and the
-    residuals take one more at the end.
+    ``lay`` is the layout of the live members; X, XK1, Y and R hold their
+    vectors end to end as it numbers them, and entry b of each per-member
+    list is the state of member ``live[b]``.  Members leave when their
+    brackets close, and only then is a new layout taken.  Each step
+    contracts the whole layout in one kernel call and keeps the rows of
+    the members that take it; the residuals take one more at the end.
     """
     k, s = stack.k, opts.shift
     out: list = [None] * len(stack.graphs)
@@ -369,35 +351,35 @@ def _solve(stack, opts) -> list:
     live = weighted.nonzero()[0]
     if not len(live):
         return out
-    sub = stack.subset(live)
-    X = np.concatenate([np.tile(_initial_vector(n, k, opts), c) for _, _, c, n in sub.runs])
-    XK1, Y = sub.evaluate(X, s)
+    lay = stack.layout if len(live) == len(out) else stack.layout.take(live)
+    X = np.concatenate([np.tile(_initial_vector(n, k, opts), c) for _, _, c, n in lay.runs])
+    XK1, Y = lay.evaluate(X, s)
     L = len(live)
     lo, up, newton, steps = [-math.inf] * L, [math.inf] * L, [False] * L, [0] * L
-    watching = (sub.sizes <= NEWTON_MAX_N).tolist()  # may yet switch to Newton steps
+    watching = (lay.sizes <= NEWTON_MAX_N).tolist()  # may yet switch to Newton steps
     marks = collections.deque(maxlen=_WINDOW + 1)  # the spreads of the last steps
     for iters in range(1, opts.max_iters + 1):
         R = Y / XK1
-        hi, low = _MAXAT(R, sub.starts), _MINAT(R, sub.starts)
+        hi, low = _MAXAT(R, lay.starts), _MINAT(R, lay.starts)
         his, lows = hi.tolist(), low.tolist()
         lo, up = list(map(max, lo, lows)), list(map(min, up, his))
         closed = [u - l <= opts.tol * max(1.0, u - s) for l, u in zip(lo, up)]
         if True in closed:
             ids = live.tolist()
             for b in (b for b, c in enumerate(closed) if c):
-                x = X[sub.starts[b] : sub.starts[b] + sub.sizes[b]].copy()
+                x = X[lay.starts[b] : lay.starts[b] + lay.sizes[b]].copy()
                 out[ids[b]] = _finish(stack, ids[b], x, lo[b], up[b], iters, s, steps[b])
             if all(closed):
                 break
             going = np.logical_not(closed)
-            rows = np.repeat(going, sub.sizes)
+            rows = np.repeat(going, lay.sizes)
             X, XK1, Y, R, live, hi = X[rows], XK1[rows], Y[rows], R[rows], live[going], hi[going]
             keep = going.nonzero()[0].tolist()
             lo, up, his, lows, newton, steps, watching = (
                 [A[b] for b in keep] for A in (lo, up, his, lows, newton, steps, watching)
             )
             marks = collections.deque(([A[b] for b in keep] for A in marks), maxlen=_WINDOW + 1)
-            sub = stack.subset(live)
+            lay = lay.take(keep)
         if True in watching:  # a watched member has read its spread at every step
             marks.append([h - l for h, l in zip(his, lows)])
             if len(marks) > _WINDOW:
@@ -407,19 +389,11 @@ def _solve(stack, opts) -> list:
                         newton[b], watching[b] = True, False
         power = None
         if True in newton:
-            mask = None if all(newton) else np.array(newton)
-            rows = None if mask is None else np.repeat(mask, sub.sizes)
-            took, *state = _newton_step(
-                stack, _take(live, mask), *(_take(A, rows) for A in (X, XK1, Y, R)), _take(hi, mask), s
-            )
-            if rows is None:
-                X, XK1, Y = state
-            else:
-                X[rows], XK1[rows], Y[rows] = state
-            for b, took_it in zip([b for b, v in enumerate(newton) if v], took.tolist()):
+            took, X, XK1, Y = _newton_step(lay, np.array(newton), X, XK1, Y, R, hi, s)
+            for b, took_it in enumerate(took.tolist()):
                 if took_it:
                     steps[b] += 1
-                else:
+                elif newton[b]:
                     # No theta lowers the upper bound: it sits at its rounding
                     # floor, where power steps are the cheaper way on.
                     newton[b] = False
@@ -427,10 +401,11 @@ def _solve(stack, opts) -> list:
                 continue
             power = np.logical_not(newton)
         if power is None or _ALL(power):
-            X, XK1, Y = _power_step(sub, Y, s)
+            X, XK1, Y = _power_step(lay, Y, s)
         else:
-            rows = np.repeat(power, sub.sizes)
-            X[rows], XK1[rows], Y[rows] = _power_step(stack.subset(live[power]), Y[rows], s)
+            rows = np.repeat(power, lay.sizes)
+            PX, PXK1, PY = _power_step(lay, Y.copy(), s)
+            X[rows], XK1[rows], Y[rows] = PX[rows], PXK1[rows], PY[rows]
     else:
         for b, g in enumerate(live.tolist()):
             lower, upper = lo[b] - s, up[b] - s
@@ -442,10 +417,11 @@ def _solve(stack, opts) -> list:
 
     done = np.array([b for b, est in enumerate(out) if isinstance(est, tuple)], dtype=int)
     if len(done):
-        fin = stack.subset(done)
+        fin = stack.layout if len(done) == len(out) else stack.layout.take(done)
         Xf = np.concatenate([out[b][1] for b in done.tolist()])
         rho = np.array([out[b][0] for b in done.tolist()])
-        res = _MAXAT(np.abs(fin.apply(Xf) - fin.rep(rho) * Xf ** (k - 1)), fin.starts)
+        XK1, TX = fin.evaluate(Xf, 0.0)  # T x^{k-1} added to 0 x^{[k-1]}, which is 0
+        res = _MAXAT(np.abs(TX - fin.rep(rho) * XK1), fin.starts)
         for b, r in zip(done.tolist(), res.tolist()):
             rho, x, lower, upper, iters, newton_steps = out[b]
             out[b] = SpectralEstimate(rho, x, lower, upper, iters, r, newton_steps)
@@ -478,32 +454,28 @@ wrappers, which cost more than the work on the short segments of the
 verify suite.  Maxima and minima are exact in any order."""
 
 
-def _take(A, rows):
-    return A if rows is None else A[rows]
-
-
-def _power_step(sub, Y, s):
-    """The shifted power step from the image y of each member of ``sub``
+def _power_step(lay, Y, s):
+    """The shifted power step from the image y of each member of ``lay``
     (overwritten): ``x' = y^{[1/(k-1)]}`` made k-unit, with its
     ``x'^{[k-1]}`` and image."""
-    Y /= sub.rep(_MAXAT(Y, sub.starts))
-    X = _k_unit_rows(sub, Y ** (1.0 / (sub.k - 1)))
-    return (X, *sub.evaluate(X, s))
+    Y /= lay.rep(_MAXAT(Y, lay.starts))
+    X = _k_unit_rows(lay, Y ** (1.0 / (lay.k - 1)))
+    return (X, *lay.evaluate(X, s))
 
 
-def _k_unit_rows(sub, X):
+def _k_unit_rows(lay, X):
     """``k_unit`` of each member's vector in X, in place and equal bit for
     bit where its sum of x^k is finite and nonzero, as after a power
     step, whose largest entry is 1.  The sums are row sums over the 2-D
     runs of equal n, pairwise as ``np.sum`` of one vector is
     (``np.add.reduceat`` sums sequentially), and the norms take Python's
     float power, as ``k_unit`` does, not numpy's."""
-    k = sub.k
+    k = lay.k
     P = X**k
-    norms = [t ** (1.0 / k) for a, b, c, n in sub.runs for t in np.add.reduce(P[a:b].reshape(c, n), 1).tolist()]
+    norms = [t ** (1.0 / k) for a, b, c, n in lay.runs for t in np.add.reduce(P[a:b].reshape(c, n), 1).tolist()]
     if 0.0 in norms:
         raise ValueError("cannot normalize the zero vector")
-    X /= sub.rep(norms)
+    X /= lay.rep(norms)
     return X
 
 
@@ -536,25 +508,31 @@ def _ratio_error(max_degree: int, k: int, ratio: float) -> float:
     return j * u / (1.0 - j * u) * ratio
 
 
-def _bordered_matrices(sub, X, XK1, lam):
+def _bordered_matrices(lay, X, XK1, lam, mask):
     """``[[M - (k-1) lam diag(x^{[k-2]}), -x^{[k-1]}], [1^T, 0]]`` of each
-    member's vector x in X, dense: yields each chunk of ``sub.chunks()``
-    with its members' systems stacked, one chunk at a time.
+    member's vector x in X, dense: yields each chunk of ``lay.chunks()``
+    that holds a member of ``mask`` with all of its members' systems
+    stacked, one chunk at a time.
 
     ``M_ij = sum over edges e containing i and j of w_e prod_{l in e, l != i, j} x_l``
     is the Jacobian of ``T x^{k-1}`` (so ``M x = (k-1) T x^{k-1}``), built
     for each chunk by one bincount over the m*k*(k-1) ordered vertex
-    pairs of its edges.
+    pairs of its edges.  Pairs are formed only for the edges from the
+    first such chunk to the last.
     """
-    k, E = sub.k, sub.edges
-    chunks, side, base = sub.chunks()
+    k = lay.k
+    chunks, side, base = lay.chunks()
+    taking = mask.tolist()
+    chunks = [chunk for chunk in chunks if True in taking[chunk[0] : chunk[1]]]
+    start, stop = chunks[0][4].start, chunks[-1][4].stop
+    E = lay.edges[start:stop]
     i, j = _position_pairs(k)
     Xe = X[E]
-    pairs = (sub.weights * Xe.prod(axis=1))[:, None] / (Xe[:, i] * Xe[:, j])
-    flat = E[:, i] * side + E[:, j] + base
+    pairs = (lay.weights[start:stop] * Xe.prod(axis=1))[:, None] / (Xe[:, i] * Xe[:, j])
+    flat = E[:, i] * side[start:stop] + E[:, j] + base[start:stop]
     for chunk in chunks:
         first, end, n, verts, edges = chunk
-        B = end - first
+        B, edges = end - first, slice(edges.start - start, edges.stop - start)
         M = np.bincount(flat[edges].ravel(), weights=pairs[edges].ravel(), minlength=B * (n + 1) ** 2)
         M.reshape(B, -1)[:, : n * (n + 2) : n + 2] -= ((k - 1) * lam[first:end])[:, None] * X[verts].reshape(B, n) ** (k - 2)
         M = M.reshape(B, n + 1, n + 1)
@@ -589,51 +567,57 @@ def _solve_stack(M, rhs):
         return out, ok
 
 
-def _newton_step(stack, members, X, XK1, Y, R, hi, s):
-    """One Newton–Noda step from each member's k-unit vector x in X, with
-    shifted image its part of Y and Collatz ratios its part of R, whose
-    maximum is ``hi[b]``, all members in lock step: solve the bordered
-    system for dx (with ``sum dx = 0``, lam = hi[b] - s), then try
-    ``x + theta dx`` for theta = 1, 1/2, ... until it stays positive and
-    strictly lowers that maximum.  Returns the mask of members that took
-    a step and the next ``(x, x^{[k-1]}, shifted image)`` of every
-    member, the old one where no theta succeeded within ``_HALVINGS``
-    halvings or the system is singular.
+def _newton_step(lay, mask, X, XK1, Y, R, hi, s):
+    """One Newton–Noda step of each member of ``mask`` from its k-unit
+    vector x in X, with shifted image its part of Y and Collatz ratios
+    its part of R, whose maximum is ``hi[b]``, all such members in lock
+    step: solve the bordered system for dx (with ``sum dx = 0``, lam =
+    hi[b] - s), then try ``x + theta dx`` for theta = 1, 1/2, ... until
+    it stays positive and strictly lowers that maximum.  Returns the mask
+    of members that took a step and the next ``(x, x^{[k-1]}, shifted
+    image)`` of every member of ``lay``, the old one outside ``mask``,
+    where no theta succeeded within ``_HALVINGS`` halvings or where the
+    system is singular.
 
-    Each chunk of members of one n (``_Layout.chunks``) is built and
-    factored as one stack.
+    Each chunk of members of one n (``_Layout.chunks``) that holds a
+    member of ``mask`` is built as one stack, and its members in
+    ``mask`` are factored as one.  Every trial contracts the whole
+    layout, each member outside ``mask`` or no longer trying at its own
+    x, and keeps the rows of the members trying.
     """
-    sub = stack.subset(members)
-    gap = (sub.rep(hi) - R) * XK1  # lam x^{[k-1]} - T x^{k-1} >= 0
-    DX, ok = np.empty(len(X)), np.empty(len(members), dtype=bool)
-    for (first, end, n, verts, _), M in _bordered_matrices(sub, X, XK1, hi - s):
+    gap = (lay.rep(hi) - R) * XK1  # lam x^{[k-1]} - T x^{k-1} >= 0
+    DX, ok, taking = np.zeros(len(X)), mask.copy(), mask.tolist()
+    for (first, end, n, verts, _), M in _bordered_matrices(lay, X, XK1, hi - s, mask):
         rhs = np.zeros((end - first, n + 1))
         rhs[:, :n] = gap[verts].reshape(end - first, n)
-        sol, ok[first:end] = _solve_stack(M, rhs)
-        DX[verts] = sol[:, :n].ravel()
+        if False not in taking[first:end]:
+            sol, ok[first:end] = _solve_stack(M, rhs)
+            DX[verts] = sol[:, :n].ravel()
+        else:
+            sel = mask[first:end]
+            sol, ok[first:end][sel] = _solve_stack(M[sel], rhs[sel])
+            DX[verts].reshape(end - first, n)[sel] = sol[:, :n]
     pending = ok.copy()  # members still trying: solvable, and no theta has succeeded yet
     Z, ZK1, YZ = X, XK1, Y
     theta = 1.0
     for _ in range(_HALVINGS + 1):
         z = X + theta * DX
-        trying = pending & (_MINAT(z, sub.starts) > 0.0)  # also rejects NaN
+        trying = pending & (_MINAT(z, lay.starts) > 0.0)  # also rejects NaN
         if _ANY(trying):
             every = _ALL(trying)
-            mask = None if every else trying
-            rows = None if every else np.repeat(trying, sub.sizes)
-            part = sub if every else stack.subset(members[trying])
-            z = _k_unit_rows(part, _take(z, rows))
-            zk1, yz = part.evaluate(z, s)
-            lower = _MAXAT(yz / zk1, part.starts) < _take(hi, mask)
+            if not every:
+                z = np.where(np.repeat(trying, lay.sizes), z, X)
+            z = _k_unit_rows(lay, z)
+            zk1, yz = lay.evaluate(z, s)
+            lower = _MAXAT(yz / zk1, lay.starts) < hi
             if every and _ALL(lower):
                 return lower, z, zk1, yz
-            if _ANY(lower):
+            accepted = trying & lower
+            if _ANY(accepted):
                 if Z is X:
                     Z, ZK1, YZ = X.copy(), XK1.copy(), Y.copy()
-                accepted = trying.copy()
-                accepted[trying] = lower
-                dest, src = np.repeat(accepted, sub.sizes), np.repeat(lower, part.sizes)
-                Z[dest], ZK1[dest], YZ[dest] = z[src], zk1[src], yz[src]
+                rows = np.repeat(accepted, lay.sizes)
+                Z[rows], ZK1[rows], YZ[rows] = z[rows], zk1[rows], yz[rows]
                 pending &= ~accepted
                 if not _ANY(pending):
                     break

@@ -174,6 +174,16 @@ def test_json_error_record_is_machine_parsable(capsys):
     assert rec["exit"] == 2 and "error" in rec
 
 
+@pytest.mark.parametrize("a, count", [("2,3", 2), ("", 0), (",", 0)], ids=["two", "empty", "comma"])
+def test_double_star_takes_exactly_one_a_value(capsys, a, count):
+    message = f"--family double-star takes one --a value, not {count}"
+    code, out, err = run(capsys, "gen", "--family", "double-star", "--m", "7", "--a", a)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, "gen", "--family", "power", "--of", "double-star", "--m", "7", "--k", "3",
+                         "--a", a, "--json")
+    assert (code, out, json.loads(err)) == (2, "", {"error": message, "exit": 2})
+
+
 def test_missing_input_is_usage_error(capsys):
     code, _, err = run(capsys, "rho")
     assert code == 2

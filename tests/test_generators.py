@@ -1,6 +1,7 @@
 """Family constructors, self-checks of the T-family degree patterns,
 and isomorphism-free enumeration."""
 
+import hashlib
 import math
 import random
 
@@ -350,6 +351,21 @@ def test_pendant_families_match_the_attach_loop():
             assert _same(gen.unicyclic_graph(m, g), ref)
     assert _same(gen.example_h(1), _attach_loop(gen.hyperstar(2, 3), range(1, 5)))
     assert _same(gen.example_h(2), _attach_loop(gen.hyperstar(3, 4), range(1, 10)))
+
+
+def test_pendant_families_keep_their_edge_arrays():
+    # One SHA-256 over (k, n, m) and the edge array of each family member,
+    # recorded when these families listed their edges by hand.
+    graphs = [f(m, k) for f in (gen.hyperstar, gen.hyperpath) for k in range(2, 6) for m in range(1, 9)]
+    graphs += [gen.double_star(m, a) for m in range(3, 12) for a in range(1, (m - 1) // 2 + 1)]
+    graphs += [gen.t_family(m, idx) for idx in (1, 2, 3, 4) for m in range(6 if idx == 1 else 5, 12)]
+    graphs += [gen.example_h(1), gen.example_h(2)]
+    digest = hashlib.sha256()
+    for G in graphs:
+        digest.update(np.array([G.k, G.n, G.m], dtype=np.int64).tobytes())
+        digest.update(np.ascontiguousarray(G.edge_array, dtype=np.int64).tobytes())
+    assert len(graphs) == 118
+    assert digest.hexdigest() == "deab635f9eed8210014f687930bcfec1444849146763d8a67c26d577790ce1c6"
 
 
 CAPPED = {

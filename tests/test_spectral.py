@@ -180,8 +180,8 @@ def test_slow_power_inputs_solve_with_default_options(G, w, known, monkeypatch):
     newton_step = spectral._newton_step
     uppers = []
 
-    def recorded(stack, members, X, XK1, Y, R, his, s):
-        took, Z, ZK1, YZ = newton_step(stack, members, X, XK1, Y, R, his, s)
+    def recorded(lay, mask, X, XK1, Y, R, his, s):
+        took, Z, ZK1, YZ = newton_step(lay, mask, X, XK1, Y, R, his, s)
         if took[0]:  # a solve of one: the vectors are its own
             uppers.append((his[0], float((YZ / ZK1).max())))
         return took, Z, ZK1, YZ
@@ -213,7 +213,7 @@ def test_fast_inputs_stay_on_power_steps():
 def _bordered_matrix(op, x, xk1, lam):
     """The bordered Newton matrix of one operator at x."""
     sub = _Stack([(op.G, op.weights)]).layout
-    ((_, M),) = _bordered_matrices(sub, x, xk1, np.array([lam]))
+    ((_, M),) = _bordered_matrices(sub, x, xk1, np.array([lam]), np.array([True]))
     return M[0]
 
 
