@@ -38,60 +38,72 @@ def _parse_comp(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.replace(",", " ").split())
 
 
-def _flags(args, *names) -> list:
-    """Values of the named family flags; ValueError naming each one missing."""
-    missing = [f"--{name}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"--family {args.family} needs {' '.join(missing)}")
-    return [getattr(args, name) for name in names]
+def _takes(build, args) -> tuple[list, list]:
+    """The flags a ``--family`` builder takes, and those it needs: its
+    parameters after ``gen``, and those without a default; with ``of``,
+    the flags of the ``--of`` base as well."""
+    code = build.__code__
+    takes = list(code.co_varnames[1:code.co_argcount])
+    needs = takes[:len(takes) - len(build.__defaults__ or ())]
+    if "of" in takes and args.of is not None:
+        base_takes, base_needs = _takes(POWER_BASES[args.of], args)
+        takes, needs = takes + base_takes, needs + base_needs
+    return takes, needs
 
 
-def _double_star(gen, args) -> UniformHypergraph:
+def _double_star(gen, m, a=(1,)) -> UniformHypergraph:
     """D_{m,a} with a the one value of ``--a``, or 1 without it."""
-    (m,) = _flags(args, "m")
-    a = (1,) if args.a is None else args.a
     if len(a) != 1:
         raise ValueError(f"--family double-star takes one --a value, not {len(a)}")
     return gen.double_star(m, a[0])
 
 
 POWER_BASES = {
-    "star": lambda gen, args: gen.hyperstar(*_flags(args, "m"), 2),
-    "path": lambda gen, args: gen.hyperpath(*_flags(args, "m"), 2),
-    "cycle": lambda gen, args: gen.cycle_graph(*_flags(args, "g")),
+    "star": lambda gen, m: gen.hyperstar(m, 2),
+    "path": lambda gen, m: gen.hyperpath(m, 2),
+    "cycle": lambda gen, g: gen.cycle_graph(g),
     "double-star": _double_star,
-    "unicyclic-graph": lambda gen, args: gen.unicyclic_graph(*_flags(args, "m", "g")),
+    "unicyclic-graph": lambda gen, m, g: gen.unicyclic_graph(m, g),
 }
-"""The 2-uniform bases ``--family power --of`` takes, each built with
-the ``generators`` module passed in."""
+"""The 2-uniform bases ``--family power --of`` takes, each built like a
+``FAMILIES`` builder."""
 
 
-def _power(gen, args) -> UniformHypergraph:
-    of, k = _flags(args, "of", "k")
-    return gen.power(POWER_BASES[of](gen, args), k)
+def _power(gen, of, k, **base) -> UniformHypergraph:
+    return gen.power(POWER_BASES[of](gen, **base), k)
 
 
 FAMILIES = {
-    "hyperstar": lambda gen, args: gen.hyperstar(*_flags(args, "m", "k")),
-    "hyperpath": lambda gen, args: gen.hyperpath(*_flags(args, "m", "k")),
-    "hypercycle": lambda gen, args: gen.hypercycle(*_flags(args, "g", "k")),
-    "complete": lambda gen, args: gen.complete(*_flags(args, "n", "k")),
+    "hyperstar": lambda gen, m, k: gen.hyperstar(m, k),
+    "hyperpath": lambda gen, m, k: gen.hyperpath(m, k),
+    "hypercycle": lambda gen, g, k: gen.hypercycle(g, k),
+    "complete": lambda gen, n, k: gen.complete(n, k),
     "double-star": _double_star,
     "power": _power,
-    "s-comp": lambda gen, args: gen.s_composition(*_flags(args, "m", "k", "a")),
-    "unicyclic": lambda gen, args: gen.unicyclic_family(*_flags(args, "m", "k", "g", "a")),
-    "t-family": lambda gen, args: gen.t_family(*_flags(args, "m", "idx")),
-    "example-h": lambda gen, args: gen.example_h(*_flags(args, "idx")),
+    "s-comp": lambda gen, m, k, a: gen.s_composition(m, k, a),
+    "unicyclic": lambda gen, m, k, g, a: gen.unicyclic_family(m, k, g, a),
+    "t-family": lambda gen, m, idx: gen.t_family(m, idx),
+    "example-h": lambda gen, idx: gen.example_h(idx),
 }
-"""The ``--family`` builders, each built with the ``generators`` module
-passed in."""
+"""The ``--family`` builders: each takes the ``generators`` module, then
+the family flags its other parameters name, and no other flag."""
 
 
 def load_graph(args) -> UniformHypergraph:
     if getattr(args, "family", None):
         from . import generators
 
-        return FAMILIES[args.family](generators, args)
+        build = FAMILIES[args.family]
+        takes, needs = _takes(build, args)
+        given = {f: v for f in ("m", "k", "g", "n", "idx", "a", "of") if (v := getattr(args, f)) is not None}
+        missing = [f"--{f}" for f in needs if f not in given]
+        if missing:
+            raise ValueError(f"--family {args.family} needs {' '.join(missing)}")
+        extra = [f"--{f}" for f in given if f not in takes]
+        if extra:
+            flags = ", ".join(f"--{f}" for f in takes)
+            raise ValueError(f"--family {args.family} takes {flags}, not {', '.join(extra)}")
+        return build(generators, **given)
     if getattr(args, "file", None):
         if args.file == "-":
             return parse_uhg(sys.stdin.read())

@@ -281,13 +281,20 @@ def enumerate_hypertrees(m: int, k: int) -> list[UniformHypergraph]:
     return [reps[c] for c in sorted(reps)]
 
 
-def enumerate_small_unicyclic(m: int, k: int) -> list[UniformHypergraph]:
+def unicyclic_classes(m: int, k: int) -> dict[bytes, UniformHypergraph]:
     """One representative per isomorphism class of unicyclic k-uniform
-    hypergraphs with m edges (m small), grown from the hypercycles of
-    every length g <= m by pendant-edge attachment with canonical dedupe."""
+    hypergraphs with m edges (m small), keyed by canonical code, grown
+    from the hypercycles of every length g <= m by pendant-edge
+    attachment with canonical dedupe."""
     reps: dict[bytes, UniformHypergraph] = {}
     for g in range(2, m + 1):
         reps.update(_levels(hypercycle(g, k), m - g)[-1])
+    return reps
+
+
+def enumerate_small_unicyclic(m: int, k: int) -> list[UniformHypergraph]:
+    """``unicyclic_classes(m, k)`` in canonical code order."""
+    reps = unicyclic_classes(m, k)
     return [reps[c] for c in sorted(reps)]
 
 

@@ -6,24 +6,27 @@ closed forms are bare floats with no error bound, met within a
 tolerance.  So ``violated`` means a miss beyond those tolerances.
 
 Every group of checks is a plan: the (graph, weighting) requests it
-needs and a judgement of their estimates.  A public check solves its
-own plan; ``default_suite`` gathers the plans of every group it runs
-and solves all their requests in one ``spectral_radii`` call, which
-steps the graphs of each edge size in lock step, before it judges.  Each bound
+needs and a judgement of their estimates.  ``check_bounds``,
+``check_power_relation`` and ``check_theorem`` each run one plan;
+``default_suite`` gathers the plans of every group it runs and solves
+all their requests in one ``spectral_radii`` call, which steps the
+graphs of each edge size in lock step, before it judges.  Each bound
 graph is requested once per weighting its judgements take.  Given a
 name prefix the suite runs only the groups of checks whose names can
-start with it.  No estimate is kept from one call to the next.  Every
-extremal check is one judgement, ``_leader``, of the first of a ranked
-class.  The hypertree scans of one edge size k are one plan, from one
-growth up to their largest m; a leader is judged by the code growth
-gave it against one code of its target's graph.
+start with it.  No estimate is kept from one call to the next.
+
+``THEOREMS`` states each extremal result of the paper once.  One plan
+serves every row: it builds each class once for all its m (the
+hypertrees of one edge size from one growth), solves each graph once,
+and judges each row with ``_leader``, by the keys its class gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import combinations_with_replacement
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,16 +34,15 @@ from . import closed_forms as cf
 from .canon import canonical_code
 from .generators import (
     ENUM_BUDGET,
-    BudgetExceededError,
     complete,
     double_star,
-    enumerate_small_unicyclic,
     example_h,
     hypercycle,
     hyperpath,
     hyperstar,
     hypertree_classes,
     power,
+    unicyclic_classes,
     unicyclic_family,
 )
 from .hypergraph import UniformHypergraph, classify, degrees
@@ -51,7 +53,6 @@ from .tensor import TensorOperator, Weighting, edge_weights, k_unit
 HOLDS = "holds"
 EQUALITY = "equality-attained"
 VIOLATED = "violated"
-INCONCLUSIVE = "inconclusive"
 
 SLACK = 1e-12  # absorbs last-ulp noise in interval comparisons
 
@@ -74,15 +75,6 @@ def _interval(est: SpectralEstimate) -> tuple[float, float]:
     return est.lower - SLACK, est.upper + SLACK
 
 
-def _le(a: tuple[float, float], b: tuple[float, float]) -> str:
-    """Status of the claim 'a <= b' given enclosing intervals."""
-    if a[1] <= b[0]:
-        return HOLDS
-    if a[0] > b[1]:
-        return VIOLATED
-    return EQUALITY  # intervals overlap: equality within tolerance
-
-
 def _run(plans, opts: Optional[SolveOptions] = None) -> list[CheckResult]:
     """Solve the requests of every (requests, judge) plan in one
     ``spectral_radii`` call, then judge each plan's estimates."""
@@ -90,31 +82,26 @@ def _run(plans, opts: Optional[SolveOptions] = None) -> list[CheckResult]:
     return [res for reqs, judge in plans for res in judge([next(ests) for _ in reqs])]
 
 
-def _check(G: UniformHypergraph, name: str, opts) -> CheckResult:
-    return _run([_bound_plan(G, name)], opts)[0]
-
-
 # ----------------------------------------------------------------------
 # Bound checks.
 
 
-def check_edge_sum_bounds(G: UniformHypergraph, opts=None) -> CheckResult:
-    """min_e (sum_{i in e} d_i - k)^(1/k) <= rho_abc <= max_e (...)^(1/k);
-    both collapse to equalities iff edge degree sums are constant."""
-    return _check(G, "edge-sum-bounds", opts)
+def check_bounds(G: UniformHypergraph, prefix: str = "", opts=None) -> list[CheckResult]:
+    """The bound checks on G whose names start with ``prefix``, in the
+    order of ``_BOUND_JUDGEMENTS``; there is no ``delta-bound`` record
+    when the maximum degree is below 2."""
+    return _run([_bound_plan(G, prefix)], opts)
 
 
 def _edge_sum_bounds(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
+    """min_e (sum_{i in e} d_i - k)^(1/k) <= rho_abc <= max_e (...)^(1/k);
+    both collapse to equalities iff edge degree sums are constant."""
     sums = G.degree_array[G.edge_array].sum(axis=1) - G.k
     return _between("edge-sum-bounds", "edge sums constant", est, int(sums.min()), int(sums.max()), G.k)
 
 
-def check_regular_corollary(G: UniformHypergraph, opts=None) -> CheckResult:
-    """(k*delta - k)^(1/k) <= rho_abc <= (k*Delta - k)^(1/k); equalities iff regular."""
-    return _check(G, "regular-corollary", opts)
-
-
 def _regular_corollary(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
+    """(k*delta - k)^(1/k) <= rho_abc <= (k*Delta - k)^(1/k); equalities iff regular."""
     dv, k = degrees(G), G.k
     lo, hi = k * dv.min_degree - k, k * dv.max_degree - k
     return _between("regular-corollary", "regular", est, lo, hi, k)
@@ -141,13 +128,9 @@ def _between(
     )
 
 
-def check_mean_bound(G: UniformHypergraph, opts=None) -> CheckResult:
+def _mean_bound(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     """rho_abc >= k! * abc_index / n, equality iff the per-vertex sums of
     omega^(1/k) over incident edges are constant."""
-    return _check(G, "mean-bound", opts)
-
-
-def _mean_bound(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     k = G.k
     weights = edge_weights(G, Weighting.ABC)
     index = sum(weights.tolist()) / math.factorial(k - 1)  # abc_index(G), bit for bit
@@ -170,25 +153,18 @@ def _mean_bound(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     )
 
 
-def check_delta_bound(G: UniformHypergraph, opts=None) -> CheckResult:
-    """rho_abc <= ((Delta-1)/Delta)^(1/k) * rho_adj (Delta >= 2), equality
-    iff every edge has omega = (Delta-1)/Delta."""
-    if degrees(G).max_degree < 2:
-        raise ValueError("delta bound requires maximum degree >= 2")
-    return _check(G, "delta-bound", opts)
-
-
 def _delta_bound(
     G: UniformHypergraph, abc_est: SpectralEstimate, adj_est: SpectralEstimate
 ) -> CheckResult:
+    """rho_abc <= ((Delta-1)/Delta)^(1/k) * rho_adj (Delta >= 2), equality
+    iff every edge has omega = (Delta-1)/Delta."""
     k, cap = G.k, degrees(G).max_degree
     factor = ((cap - 1) / cap) ** (1.0 / k)
-    lhs = _interval(abc_est)
-    rhs = (factor * adj_est.lower - SLACK, factor * adj_est.upper + SLACK)
     rows = G.degree_array[G.edge_array].tolist()  # Python ints: exact products
     all_at_cap = all((sum(d) - k) * cap == (cap - 1) * math.prod(d) for d in rows)
-    status = _le(lhs, rhs)
-    if status != VIOLATED:
+    if _interval(abc_est)[0] > factor * adj_est.upper + SLACK:
+        status = VIOLATED
+    else:
         status = EQUALITY if all_at_cap else HOLDS
     return CheckResult(
         name="delta-bound",
@@ -226,12 +202,8 @@ def _power_plan(G: UniformHypergraph, k: int):
     return [(G, Weighting.ABC), (power(G, k), Weighting.ABC)], judge
 
 
-def check_randic_unit(G: UniformHypergraph, opts=None) -> CheckResult:
-    """rho of the randic tensor is 1; x_i = d_i^(1/k) is an exact eigenvector."""
-    return _check(G, "randic-unit", opts)
-
-
 def _randic_unit(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
+    """rho of the randic tensor is 1; x_i = d_i^(1/k) is an exact eigenvector."""
     x = k_unit(G.degree_array ** (1.0 / G.k), G.k)
     res = residual_of(TensorOperator.from_weighting(G, Weighting.RANDIC), 1.0, x)
     ival = _interval(est)
@@ -257,8 +229,24 @@ _BOUND_JUDGEMENTS = (
 estimates the judgement takes, in the order it takes them."""
 
 
+def _bound_plan(G: UniformHypergraph, prefix: str):
+    """The plan of the bound checks on G whose names start with
+    ``prefix``: one request per weighting their judgements take."""
+    judgements = [
+        (judge, ws) for name, judge, ws in _BOUND_JUDGEMENTS
+        if name.startswith(prefix) and (name != "delta-bound" or degrees(G).max_degree >= 2)
+    ]
+    weightings = list(dict.fromkeys(w for _, ws in judgements for w in ws))
+
+    def judge(ests):
+        by_weighting = dict(zip(weightings, ests))
+        return [j(G, *(by_weighting[w] for w in ws)) for j, ws in judgements]
+
+    return [(G, w) for w in weightings], judge
+
+
 # ----------------------------------------------------------------------
-# Extremal scans.
+# Extremal theorems.
 
 
 def _leader(
@@ -275,131 +263,147 @@ def _leader(
     return CheckResult(name, HOLDS if ok else VIOLATED, est.rho, closed, lead, detail)
 
 
-def _code_of(form: str, m: int, k: int) -> bytes:
-    """The canonical code of the named closed form's graph."""
-    return canonical_code(cf.closed_form_graph(form, m=m, k=k))
-
-
-def _is_graph_of(form: str, m: int, k: int):
-    """A test of whether a graph is isomorphic to the named closed form's graph."""
-    code = _code_of(form, m, k)
-    return lambda G: canonical_code(G) == code
-
-
-def _ranked(pairs) -> list:
-    """(estimate, item) pairs by falling rho."""
-    return sorted(pairs, key=lambda p: -p[0].rho)
-
-
-def extremal_scan_hypertrees(m: int, k: int, opts=None) -> list[CheckResult]:
-    """Enumerate hypertrees of size m, rank abc radii, and confirm:
-    unique max S_{m,k}; unique second max D_{m,1}^k (m >= 4); unique
-    non-power max S_{m,k;m-3,1,1} (k >= 3, m >= 4); maxima match their
-    closed forms; consecutive ranks gap > 1e-9."""
-    try:
-        plan = _hypertree_plan([m], k)
-    except BudgetExceededError as exc:
-        nan = float("nan")
-        return [CheckResult(f"hypertree-scan-max[m={m},k={k}]", INCONCLUSIVE, nan, nan, nan, str(exc))]
-    return _run([plan], opts)
-
-
-def _hypertree_plan(ms: list[int], k: int):
-    """The hypertree scans of every size in ``ms`` at edge size k, from
-    one growth up to the largest.  Each class is ranked as a (code, tree)
-    item with its code from that growth."""
-    levels = hypertree_classes(max(ms), k)
-    classes = [sorted(levels[m - 1].items()) for m in ms]
-
-    def judge(ests):
-        ests = iter(ests)
-        return [res for m, items in zip(ms, classes)
-                for res in _hypertree_scan(m, k, _ranked([(next(ests), item) for item in items]))]
-
-    return [(T, Weighting.ABC) for items in classes for _, T in items], judge
-
-
-def _hypertree_scan(m: int, k: int, ranked) -> list[CheckResult]:
-    """The judgements of the hypertree scan of size m, given its ranked
-    (estimate, (code, tree)) pairs."""
-    radii = "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
-    detail = f"classes={len(ranked)}; radii: {radii}"
-    results = [_hypertree_leader("max", m, k, ranked, "hyperstar", detail, 0.0)]
-    if m >= 4 and len(ranked) >= 2:
-        detail = "second maximum is the lifted double star"
-        results.append(_hypertree_leader("second", m, k, ranked[1:], "double-star-1", detail, -math.inf))
-    if k >= 3 and m >= 4:
-        non_power = [(est, item) for est, item in ranked if classify(item[1]).power_hypertree is False]
-        if non_power:
-            detail = f"non-power classes={len(non_power)}"
-            results.append(_hypertree_leader("nonpower", m, k, non_power, "s311", detail, -math.inf))
-    return results
-
-
-def _hypertree_leader(kind: str, m: int, k: int, ranked, form: str, detail: str, floor: float) -> CheckResult:
-    """``_leader`` of ranked (estimate, (code, tree)) pairs, whose target
-    is the named closed form's graph: one code of that graph against the
-    leader's code from growth."""
-    closed = cf.closed_form(form, m=m, k=k)
-    code = _code_of(form, m, k)
-    name = f"hypertree-scan-{kind}[m={m},k={k}]"
-    return _leader(name, ranked, lambda item: item[0] == code, closed, detail, floor)
-
-
-def _partitions_desc(total: int, slots: int):
-    """Weakly decreasing nonnegative tuples of length `slots` summing to total."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _partitions_desc(total - first, slots - 1):
-            if not rest or first >= rest[0]:
-                yield (first,) + rest
-
-
 def _u_compositions(total: int, k: int):
     """Compositions of `total` into k parts, one canonical representative
     per symmetry class of the attachment positions: the two cycle joints
-    (first and last slot) are swappable and the middles permutable."""
+    (first and last slot) are swappable and the middles permutable, so
+    the first joint takes the larger end and the middles fall weakly."""
     out = []
     for e1 in range(total, -1, -1):
         for e2 in range(min(e1, total - e1), -1, -1):
-            for mid in _partitions_desc(total - e1 - e2, k - 2):
-                out.append((e1,) + mid + (e2,))
+            rest = total - e1 - e2
+            mids = combinations_with_replacement(range(rest, -1, -1), k - 2)
+            out += [(e1, *mid, e2) for mid in mids if sum(mid) == rest]
     return out
 
 
-def extremal_scan_unicyclic_family(m: int, k: int, g: int, opts=None) -> list[CheckResult]:
-    """Over all compositions a of m-g, confirm the unique maximizer of
-    rho_abc(U_{m,k,g}(a)) is a = (m-g, 0, ..., 0) and its value matches
-    the closed form."""
-    return _run([_unicyclic_plan(m, k, g)], opts)
+def _composition(G: UniformHypergraph) -> tuple[int, ...]:
+    """The a of G = U_{m,k,g}(a): the degrees of vertices 0..k-1, the
+    first edge of its cycle, less their degrees on the cycle (2 at the
+    joints 0 and k-1, 1 between)."""
+    d = G.degree_list[:G.k]
+    return (d[0] - 2, *(x - 1 for x in d[1:-1]), d[-1] - 2)
 
 
-def _unicyclic_plan(m: int, k: int, g: int):
-    comps = _u_compositions(m - g, k)
-    want = (m - g,) + (0,) * (k - 1)
-    closed = cf.closed_form("u2" if g == 2 else "u3", m=m, k=k)
-    name = f"unicyclic-scan[m={m},k={k},g={g}]"
+def _hypertrees(ms, k, g):
+    levels = hypertree_classes(max(ms), k)
+    return {m: sorted(levels[m - 1].items()) for m in ms}
+
+
+class _Class(NamedTuple):
+    """A class a theorem ranges over: ``members(ms, k, g)`` gives, for
+    each m of ``ms``, its (key, graph) pairs in ranking order, and
+    ``key(G)`` the key of a graph of the class."""
+
+    members: Callable
+    key: Callable
+
+
+# Hypertrees and unicyclic shapes, one per isomorphism class, are keyed
+# by canonical code, looked up per call so that tracing sees it; the
+# U_{m,k,g}(a), one per composition a of m-g, by a.
+HYPERTREES = _Class(_hypertrees, lambda G: canonical_code(G))
+UNICYCLIC = _Class(lambda ms, k, g: {m: sorted(unicyclic_classes(m, k).items()) for m in ms},
+                   lambda G: canonical_code(G))
+U_FAMILY = _Class(lambda ms, k, g: {m: [(a, unicyclic_family(m, k, g, a)) for a in _u_compositions(m - g, k)]
+                                    for m in ms}, _composition)
+
+
+def _radii(ranked) -> str:
+    return f"classes={len(ranked)}; radii: " + "; ".join(f"{e.rho:.12f}" for e, _ in ranked)
+
+
+def _u_table(ranked) -> str:
+    return f"members={len(ranked)}; " + "; ".join(f"{e.rho:.10f}@a={a}" for e, a in ranked)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """Over the members of ``cls`` at (m, k) that pass ``keep`` (all when
+    None), the abc radius has a unique maximum, at the graph of the closed
+    form ``target``, wherever ``applies(m, k)``.  ``detail`` writes a
+    check's detail from its ranked (estimate, key) pairs; ``floor``
+    stands in for the runner-up of a lone member."""
+
+    stem: str
+    cls: _Class
+    keep: Optional[Callable[[UniformHypergraph], bool]]
+    target: str
+    applies: Callable[[int, int], bool]
+    detail: Callable[[list], str]
+    floor: float = -math.inf
+    g: Optional[int] = None
+
+    def name(self, m: int, k: int) -> str:
+        return f"{self.stem}[m={m},k={k}" + ("" if self.g is None else f",g={self.g}") + "]"
+
+
+THEOREMS = (
+    # The hyperstar S_{m,k} is the unique maximum over the hypertrees.
+    Theorem("hypertree-scan-max", HYPERTREES, None, "hyperstar",
+            lambda m, k: m >= 1 and k >= 3, _radii, floor=0.0),
+    # The lifted double star D_{m,1}^k is the unique second maximum: the
+    # maximum over the hypertrees that are not hyperstars (max degree < m).
+    Theorem("hypertree-scan-second", HYPERTREES, lambda G: max(G.degree_list) < G.m, "double-star-1",
+            lambda m, k: m >= 4 and k >= 3, lambda r: "second maximum is the lifted double star"),
+    # S_{m,k;m-3,1,1} is the unique maximum over the hypertrees that are
+    # not the power of a tree.
+    Theorem("hypertree-scan-nonpower", HYPERTREES, lambda G: classify(G).power_hypertree is False, "s311",
+            lambda m, k: m >= 4 and k >= 3, lambda r: f"non-power classes={len(r)}"),
+    # Over the compositions a of m-g, U_{m,k,g}(a) is the unique maximum
+    # at a = (m-g, 0, ..., 0), for g = 2 and g = 3.
+    Theorem("unicyclic-scan", U_FAMILY, None, "u2", lambda m, k: m >= 2 and k >= 3, _u_table, g=2),
+    Theorem("unicyclic-scan", U_FAMILY, None, "u3", lambda m, k: m >= 3 and k >= 3, _u_table, g=3),
+    # U_{m,2}^(k), with value (m-1+2/m)^(1/k), is the unique maximum over
+    # every unicyclic shape.
+    Theorem("unicyclic-global-max", UNICYCLIC, None, "u2",
+            lambda m, k: m >= 2 and k >= 3, lambda r: f"shapes={len(r)}"),
+    # U_{m,3}^(k) is the unique maximum over the linear unicyclic shapes
+    # (girth >= 3).
+    Theorem("linear-unicyclic-global-max", UNICYCLIC, lambda G: classify(G).linear, "u3",
+            lambda m, k: m >= 3 and k >= 3, lambda r: f"linear shapes={len(r)}"),
+)
+"""The paper's extremal results, each stated once."""
+
+
+def check_theorem(name: str, m: int, k: int, g: Optional[int] = None, opts=None) -> CheckResult:
+    """The check of the ``THEOREMS`` row with stem ``name`` (and ``g``,
+    for ``unicyclic-scan``) at (m, k); ValueError where no row applies,
+    BudgetExceededError for a hypertree row past ``ENUM_BUDGET``."""
+    rows = [row for row in THEOREMS if row.stem == name and row.g == g and row.applies(m, k)]
+    if not rows:
+        raise ValueError(f"no theorem {name!r} with g={g} applies at m={m}, k={k}")
+    return _run([_theorem_plan(rows, [m], k)], opts)[0]
+
+
+def _theorem_plan(rows, ms: list[int], k: int):
+    """The checks of ``rows`` at edge size k, at each m of ``ms`` where
+    they apply.  Each class is built once for all its m and each of its
+    graphs solved once; each row ranks the members that pass its filter
+    and judges the first by the key its class gives the target's graph."""
+    cases = [(m, row) for m in ms for row in rows if row.applies(m, k)]
+    wanted: dict = {}
+    for m, row in cases:
+        wanted.setdefault((row.cls, row.g), {})[m] = None
+    members = {(m, cls, g): dict(items) for (cls, g), found in wanted.items()
+               for m, items in cls.members(list(found), k, g).items()}
 
     def judge(ests):
-        ranked = _ranked(zip(ests, comps))
-        table = "; ".join(f"{e.rho:.10f}@a={a}" for e, a in ranked)
-        return [_leader(name, ranked, lambda a: a == want, closed, f"members={len(ranked)}; {table}")]
+        ests = iter(ests)
+        ranked = {at: sorted(((next(ests), key) for key in graph), key=lambda p: -p[0].rho)
+                  for at, graph in members.items()}
+        results = []
+        for m, row in cases:
+            at = (m, row.cls, row.g)
+            graph = members[at]
+            kept = [(e, key) for e, key in ranked[at] if row.keep is None or row.keep(graph[key])]
+            target = row.cls.key(cf.closed_form_graph(row.target, m=m, k=k))
+            closed = cf.closed_form(row.target, m=m, k=k)
+            results.append(_leader(row.name(m, k), kept, lambda key: key == target, closed,
+                                   row.detail(kept), row.floor))
+        return results
 
-    return [(unicyclic_family(m, k, g, a), Weighting.ABC) for a in comps], judge
-
-
-def check_unicyclic_global_max(m: int, k: int, opts=None) -> CheckResult:
-    """Scan all unicyclic shapes (small m): the maximum abc radius is
-    attained exactly at U_{m,2}^(k), with value (m-1+2/m)^(1/k), and
-    leads the runner-up by more than 1e-9."""
-    shapes = enumerate_small_unicyclic(m, k)
-    ranked = _ranked(zip(spectral_radii([(G, Weighting.ABC) for G in shapes], opts or SolveOptions()), shapes))
-    closed = cf.closed_form("u2", m=m, k=k)
-    name = f"unicyclic-global-max[m={m},k={k}]"
-    return _leader(name, ranked, _is_graph_of("u2", m, k), closed, f"shapes={len(shapes)}")
+    return [(G, Weighting.ABC) for graph in members.values() for G in graph.values()], judge
 
 
 # ----------------------------------------------------------------------
@@ -418,18 +422,10 @@ f(1) and f(rho(P_{m,k})), and the other edge size whose reading of
 P_{m,k} is also reported, if any."""
 
 
-def run_worked_examples(opts=None) -> list[CheckResult]:
-    """Rebuild the two pendant-expanded hyperstars, verify the univariate
-    reductions of their eigen-equations, the four tabulated values, and
-    the strict comparisons against hyperpath radii."""
-    return _run([_worked_plan()], opts)
-
-
-def _worked_plan():
-    return [(example_h(ex[0]), Weighting.ABC) for ex in _WORKED_EXAMPLES], _worked_judge
-
-
 def _worked_judge(ests) -> list[CheckResult]:
+    """The two pendant-expanded hyperstars: the univariate reductions of
+    their eigen-equations, the four tabulated values, and the strict
+    comparisons against hyperpath radii."""
     results = []
     for (idx, f, m, k, expect, alt_k), est in zip(_WORKED_EXAMPLES, ests):
         path = cf.closed_form("hyperpath", m=m, k=k)
@@ -458,22 +454,6 @@ def _worked_judge(ests) -> list[CheckResult]:
 def _wanted(prefix: str, stem: str) -> bool:
     """Whether a check name that starts with ``stem`` can start with ``prefix``."""
     return stem.startswith(prefix) or prefix.startswith(stem)
-
-
-def _bound_plan(G: UniformHypergraph, prefix: str):
-    """The plan of the bound checks on G whose names start with
-    ``prefix``: one request per weighting their judgements take."""
-    judgements = [
-        (judge, ws) for name, judge, ws in _BOUND_JUDGEMENTS
-        if name.startswith(prefix) and (name != "delta-bound" or degrees(G).max_degree >= 2)
-    ]
-    weightings = list(dict.fromkeys(w for _, ws in judgements for w in ws))
-
-    def judge(ests):
-        by_weighting = dict(zip(weightings, ests))
-        return [j(G, *(by_weighting[w] for w in ws)) for j, ws in judgements]
-
-    return [(G, w) for w in weightings], judge
 
 
 def default_suite(
@@ -512,16 +492,13 @@ def default_suite(
 
     if _wanted(prefix, "power-relation"):
         plans += [_power_plan(double_star(mm, 1), max(3, max(ks))) for mm in ms if mm >= 3]
+    # The hypertrees up to their enumeration budget and the U family up
+    # to m = 7; the scans over every unicyclic shape are not in the suite.
+    rows = [row for row in THEOREMS if _wanted(prefix, row.stem + "[") and row.g in (None, *gs)]
     for kk in ks:
-        if kk >= 3:
-            tree_ms = [mm for mm in ms if mm <= ENUM_BUDGET.get(kk, 4)]
-            if tree_ms and _wanted(prefix, "hypertree-scan-"):
-                plans.append(_hypertree_plan(tree_ms, kk))
-            for mm in ms:
-                for gg in gs:
-                    if gg <= mm <= 7 and _wanted(prefix, "unicyclic-scan["):
-                        plans.append(_unicyclic_plan(mm, kk, gg))
+        for cls, cap in ((HYPERTREES, ENUM_BUDGET.get(kk, 4)), (U_FAMILY, 7)):
+            plans.append(_theorem_plan([r for r in rows if r.cls is cls], [mm for mm in ms if mm <= cap], kk))
     if _wanted(prefix, "worked-example-"):
-        plans.append(_worked_plan())
+        plans.append(([(example_h(ex[0]), Weighting.ABC) for ex in _WORKED_EXAMPLES], _worked_judge))
     results = _run(plans)
     return sorted((r for r in results if r.name.startswith(prefix)), key=lambda r: r.name)

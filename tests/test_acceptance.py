@@ -130,13 +130,9 @@ def test_criterion_4_bound_suite():
 
     statuses = {}
     for G in family_graphs + random_graphs:
-        results = [
-            ver.check_edge_sum_bounds(G),
-            ver.check_regular_corollary(G),
-            ver.check_mean_bound(G),
-        ]
-        if max(G.degree_list) >= 2:
-            results.append(ver.check_delta_bound(G))
+        # check_bounds gives no delta-bound record where the maximum degree is below 2.
+        results = [r for name in ("edge-sum-bounds", "regular-corollary", "mean-bound", "delta-bound")
+                   for r in ver.check_bounds(G, name)]
         for r in results:
             assert r.ok, (r.name, G.edges, r)
         statuses[id(G)] = {r.name: r.status for r in results}
@@ -151,13 +147,7 @@ def test_criterion_4_bound_suite():
         (gen.complete(4, 3), "regular-corollary"),
         (gen.complete(4, 3), "mean-bound"),
     ]
-    checkers = {
-        "edge-sum-bounds": ver.check_edge_sum_bounds,
-        "regular-corollary": ver.check_regular_corollary,
-        "mean-bound": ver.check_mean_bound,
-        "delta-bound": ver.check_delta_bound,
-    }
-    eq_ok = all(checkers[name](G).status == ver.EQUALITY for G, name in eq_expect)
+    eq_ok = all(ver.check_bounds(G, name)[0].status == ver.EQUALITY for G, name in eq_expect)
     elapsed = time.time() - t0
     _report(
         f"C4 bound suite ({len(family_graphs)} families + {len(random_graphs)} random)",
@@ -192,7 +182,7 @@ def test_criterion_6_extremal_scans():
     details = []
     for k, ms in ((3, (4, 5, 6)), (4, (4, 5))):
         for m in ms:
-            results = ver.extremal_scan_hypertrees(m, k)
+            results = ver.default_suite(m=m, k=k, prefix="hypertree-scan-")
             names = {r.name.split("[")[0] for r in results}
             assert "hypertree-scan-max" in names
             assert "hypertree-scan-second" in names
@@ -212,7 +202,7 @@ def test_criterion_7_unicyclic_scans():
     all_ok = True
     for g in (2, 3):
         for m in range(3, 8):
-            (r,) = ver.extremal_scan_unicyclic_family(m, 3, g)
+            r = ver.check_theorem("unicyclic-scan", m, 3, g)
             all_ok = all_ok and r.ok
     _report("C7 unicyclic family scans (k=3, g=2,3, m=3..7)", all_ok)
 

@@ -4,7 +4,12 @@ points in which every call ends in a result or a documented error."""
 
 import collections
 import math
+import os
+import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +60,25 @@ def test_the_public_names_of_abctensor_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
+
+
+def test_the_public_functions_of_verify_are_pinned():
+    from abctensor import verify
+
+    names = {
+        name for name, value in vars(verify).items()
+        if not name.startswith("_") and isinstance(value, types.FunctionType)
+        and value.__module__ == verify.__name__
+    }
+    assert names == {"check_bounds", "check_power_relation", "check_theorem", "default_suite"}
+
+
+def test_the_readme_library_example_runs():
+    root = Path(__file__).resolve().parents[1]
+    (block,) = re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    proc = subprocess.run([sys.executable, "-c", block], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @st.composite

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from abctensor import closed_forms as cf
 from abctensor import generators as gen
 from abctensor import parse_uhg
-from abctensor.cli import main, make_parser
+from abctensor.cli import FAMILIES, POWER_BASES, _takes, main, make_parser
 
 SRC = Path(__file__).parents[1] / "src"
 HUGE = str(10**20)
@@ -184,6 +184,19 @@ def test_double_star_takes_exactly_one_a_value(capsys, a, count):
     assert (code, out, json.loads(err)) == (2, "", {"error": message, "exit": 2})
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("gen --family hyperstar --m 2 --k 3 --a 5 --g 9 --idx 4", "--family hyperstar takes --m, --k, not --g, --idx, --a"),
+    ("rho --family t-family --m 6 --idx 2 --k 9", "--family t-family takes --m, --idx, not --k"),
+    ("gen --family power --of star --m 3 --k 3 --g 4", "--family power takes --of, --k, --m, not --g"),
+    ("classify --family double-star --m 5 --of star", "--family double-star takes --m, --a, not --of"),
+], ids=["hyperstar", "t-family", "power", "double-star"])
+def test_a_flag_the_family_does_not_take_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run(capsys, *argv.split(), "--json")
+    assert (code, out, json.loads(err)) == (2, "", {"error": message, "exit": 2})
+
+
 def test_missing_input_is_usage_error(capsys):
     code, _, err = run(capsys, "rho")
     assert code == 2
@@ -316,21 +329,31 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=_no_constants)
 
 
+def _taken(family: str) -> set[str]:
+    """The flags ``--family`` takes; for ``power``, with those of every base."""
+    return {f for of in (None, *POWER_BASES) for f in _takes(FAMILIES[family], argparse.Namespace(of=of))[0]}
+
+
 @st.composite
 def command_lines(draw) -> list[str]:
-    """A subcommand with about three in four of its flags, each valued
+    """A subcommand with about three in four of its flags, but only one in
+    four of those a family flag its ``--family`` does not take, each valued
     from FUZZ_VALUES one time in eight and else from values that parse."""
     name, parser = draw(st.sampled_from(sorted(_subcommands().items())))
-    argv = [name]
+    argv, family = [name], None
     for action in parser._actions:
         if isinstance(action, argparse._HelpAction):
             continue
         flag = action.option_strings[0] if action.option_strings else None
         if not (action.required or draw(st.integers(0, 3))):
             continue
+        refused = family and flag and flag[2:] in ("m", "k", "g", "n", "idx", "a", "of") and flag[2:] not in _taken(family)
+        if refused and draw(st.integers(0, 3)):
+            continue
         known = list(action.choices or WELL_FORMED.get(flag, ["3", "4", "5", "6"]))
         value = draw(st.sampled_from(known if draw(st.integers(0, 7)) else FUZZ_VALUES))
         argv += [value] if flag is None else [flag] if action.nargs == 0 else [flag, value]
+        family = value if flag == "--family" and value in FAMILIES else family
     return argv
 
 

@@ -1,4 +1,4 @@
-"""Bound checks, equality detection, scans, and the worked examples."""
+"""Bound checks, equality detection, the theorem table, and the worked examples."""
 
 import math
 from pathlib import Path
@@ -6,7 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from abctensor import Weighting, build, classify
+from abctensor import build
+from abctensor import closed_forms as cf
 from abctensor import generators as gen
 from abctensor import verify as ver
 from abctensor.closed_forms import rho_abc_hyperpath, rho_abc_u2, rho_abc_u3
@@ -14,8 +15,14 @@ from abctensor.verify import EQUALITY, HOLDS
 from helpers import count_calls
 
 
+def bound(G, name, opts=None):
+    """The one record of the named bound check on G."""
+    (r,) = ver.check_bounds(G, name, opts)
+    return r
+
+
 def test_edge_sum_bounds_hypercycle_equality():
-    r = ver.check_edge_sum_bounds(gen.hypercycle(4, 3))
+    r = bound(gen.hypercycle(4, 3), "edge-sum-bounds")
     assert r.status == EQUALITY
     assert r.rhs == pytest.approx(2 ** (1 / 3))
     assert r.lhs == pytest.approx(2 ** (1 / 3), abs=1e-8)
@@ -24,18 +31,18 @@ def test_edge_sum_bounds_hypercycle_equality():
 def test_edge_sum_bounds_hyperstar_equality():
     # Every hyperstar edge contains the center, so edge degree sums are
     # constant and both bounds collapse onto (m-1)^(1/k).
-    r = ver.check_edge_sum_bounds(gen.hyperstar(5, 3))
+    r = bound(gen.hyperstar(5, 3), "edge-sum-bounds")
     assert r.status == EQUALITY
     assert r.rhs == pytest.approx(4 ** (1 / 3))
 
 
 def test_edge_sum_bounds_double_star_strict():
-    r = ver.check_edge_sum_bounds(gen.double_star(5, 1))
+    r = bound(gen.double_star(5, 1), "edge-sum-bounds")
     assert r.status == HOLDS
 
 
 def test_regular_corollary_complete_equality():
-    r = ver.check_regular_corollary(gen.complete(4, 3))
+    r = bound(gen.complete(4, 3), "regular-corollary")
     assert r.status == EQUALITY
     assert r.rhs == pytest.approx(6 ** (1 / 3))
 
@@ -43,20 +50,20 @@ def test_regular_corollary_complete_equality():
 def test_regular_corollary_hypercycle_strict():
     # Degrees 1 and 2: bounds (0, (2k-k)^(1/k)); rho = 2^(1/k) sits
     # strictly inside, so the corollary holds without equality.
-    r = ver.check_regular_corollary(gen.hypercycle(3, 3))
+    r = bound(gen.hypercycle(3, 3), "regular-corollary")
     assert r.status == HOLDS
     assert r.rhs == pytest.approx(3 ** (1 / 3))
     assert r.lhs == pytest.approx(2 ** (1 / 3), abs=1e-8)
 
 
 def test_regular_corollary_hyperstar_strict():
-    r = ver.check_regular_corollary(gen.hyperstar(3, 3))
+    r = bound(gen.hyperstar(3, 3), "regular-corollary")
     assert r.status == HOLDS
     assert r.rhs == pytest.approx(6 ** (1 / 3))
 
 
 def test_mean_bound_strict_on_star2():
-    r = ver.check_mean_bound(gen.hyperstar(2, 3))
+    r = bound(gen.hyperstar(2, 3), "mean-bound")
     assert r.status == HOLDS
     assert r.rhs == pytest.approx(0.9524406311809199)
     assert r.lhs == pytest.approx(1.0, abs=1e-8)
@@ -67,41 +74,42 @@ def test_mean_bound_strict_on_hypercycles():
     # one, so the per-vertex row sums are not constant and the mean bound
     # holds strictly on hypercycles.
     for g in (3, 4):
-        r = ver.check_mean_bound(gen.hypercycle(g, 3))
+        r = bound(gen.hypercycle(g, 3), "mean-bound")
         assert r.status == HOLDS
         assert r.lhs > r.rhs
 
 
 def test_mean_bound_equality_on_complete():
-    r = ver.check_mean_bound(gen.complete(4, 3))
+    r = bound(gen.complete(4, 3), "mean-bound")
     assert r.status == EQUALITY
 
 
 def test_mean_bound_single_edge_degenerate_equality():
-    r = ver.check_mean_bound(build(3, 3, [[0, 1, 2]]))
+    r = bound(build(3, 3, [[0, 1, 2]]), "mean-bound")
     assert r.status == EQUALITY
     assert r.lhs == 0.0 and r.rhs == 0.0
 
 
 def test_delta_bound_hyperstar_equality():
     for m, k in ((4, 3), (6, 2)):
-        r = ver.check_delta_bound(gen.hyperstar(m, k))
+        r = bound(gen.hyperstar(m, k), "delta-bound")
         assert r.status == EQUALITY
 
 
 def test_delta_bound_hypercycle_equality():
-    r = ver.check_delta_bound(gen.hypercycle(3, 3))
+    r = bound(gen.hypercycle(3, 3), "delta-bound")
     assert r.status == EQUALITY
 
 
 def test_delta_bound_double_star_strict():
-    r = ver.check_delta_bound(gen.double_star(5, 1))
+    r = bound(gen.double_star(5, 1), "delta-bound")
     assert r.status == HOLDS
 
 
 def test_delta_bound_requires_delta_two():
-    with pytest.raises(ValueError):
-        ver.check_delta_bound(build(3, 3, [[0, 1, 2]]))
+    G = build(3, 3, [[0, 1, 2]])
+    assert ver.check_bounds(G, "delta-bound") == []
+    assert "delta-bound" not in [r.name for r in ver.check_bounds(G)]
 
 
 def test_power_relation_triangle():
@@ -126,28 +134,28 @@ def test_power_relation_path():
 
 def test_randic_unit():
     for G in (gen.hyperstar(4, 3), gen.hypercycle(4, 3), gen.random_hypertree(6, 3, seed=8)):
-        r = ver.check_randic_unit(G)
+        r = bound(G, "randic-unit")
         assert r.status == HOLDS
         assert r.lhs == pytest.approx(1.0, abs=1e-8)
 
 
 def test_hypertree_scan_small():
-    results = ver.extremal_scan_hypertrees(4, 3)
+    results = ver.default_suite(m=4, k=3, prefix="hypertree-scan-")
     assert all(r.ok for r in results)
     names = {r.name.split("[")[0] for r in results}
     assert names == {"hypertree-scan-max", "hypertree-scan-second", "hypertree-scan-nonpower"}
 
 
 def test_unicyclic_scan_single_member():
-    (r,) = ver.extremal_scan_unicyclic_family(3, 3, 3)
+    r = ver.check_theorem("unicyclic-scan", 3, 3, g=3)
     assert r.ok
     assert r.rhs == pytest.approx(2 ** (1 / 3))
 
 
 def test_unicyclic_scan_maximizer():
-    (r,) = ver.extremal_scan_unicyclic_family(5, 3, 2)
+    r = ver.check_theorem("unicyclic-scan", 5, 3, g=2)
     assert r.ok and r.rhs == pytest.approx(rho_abc_u2(5, 3))
-    (r3,) = ver.extremal_scan_unicyclic_family(6, 3, 3)
+    r3 = ver.check_theorem("unicyclic-scan", 6, 3, g=3)
     assert r3.ok and r3.rhs == pytest.approx(rho_abc_u3(6, 3))
 
 
@@ -163,7 +171,7 @@ def test_u_compositions_canonical():
 
 def test_unicyclic_global_max_small():
     for m, k in [(m, 3) for m in range(3, 8)] + [(m, 4) for m in (3, 4, 5)]:
-        r = ver.check_unicyclic_global_max(m, k)
+        r = ver.check_theorem("unicyclic-global-max", m, k)
         assert r.status == HOLDS, (m, k)
         assert r.rhs == pytest.approx(rho_abc_u2(m, k))
         assert r.margin > 1e-9  # the lead over the runner-up
@@ -172,16 +180,14 @@ def test_unicyclic_global_max_small():
 def test_linear_unicyclic_global_max_small():
     # Over every linear unicyclic shape (girth >= 3) the maximum is U_{m,3}.
     for m, k in [(m, 3) for m in range(4, 8)] + [(4, 4), (5, 4)]:
-        shapes = [G for G in gen.enumerate_small_unicyclic(m, k) if classify(G).linear]
-        ranked = ver._ranked(zip(ver.spectral_radii([(G, Weighting.ABC) for G in shapes]), shapes))
-        is_u3 = ver._is_graph_of("u3", m, k)
-        r = ver._leader("linear-unicyclic-max", ranked, is_u3, rho_abc_u3(m, k), "")
+        r = ver.check_theorem("linear-unicyclic-global-max", m, k)
         assert r.status == HOLDS, (m, k)
+        assert r.rhs == pytest.approx(rho_abc_u3(m, k))
         assert r.margin > 1e-9  # the lead over the runner-up
 
 
 def test_worked_examples_hold():
-    res = ver.run_worked_examples()
+    res = ver.default_suite(prefix="worked-example-")
     assert [r.name for r in res] == ["worked-example-1", "worked-example-2"]
     assert all(r.ok for r in res)
     # rho(H_1) strictly below the 6-edge hyperpath value
@@ -190,7 +196,7 @@ def test_worked_examples_hold():
 
 
 def test_worked_example_values_match_reductions():
-    res = ver.run_worked_examples()
+    res = ver.default_suite(prefix="worked-example-")
     f1 = lambda t: t**3 - math.sqrt(3 / 4) * t**1.5 - 0.5  # noqa: E731
     assert abs(f1(res[0].lhs)) < 1e-6
 
@@ -211,10 +217,28 @@ def test_scans_judge_the_leader_by_target_closeness_and_lead():
     assert ver._leader("scan", ranked[:1], "a".__eq__, 2.0, "").margin == math.inf
 
 
-def test_hypertree_scan_budget_is_inconclusive():
-    (r,) = ver.extremal_scan_hypertrees(9, 3)
-    assert r.status == ver.INCONCLUSIVE
-    assert r.ok  # inconclusive is not a violation
+def test_hypertree_scan_past_the_budget_raises():
+    with pytest.raises(gen.BudgetExceededError):
+        ver.check_theorem("hypertree-scan-max", 9, 3)
+
+
+def test_check_theorem_rejects_a_row_it_does_not_have():
+    for name, m, g in (("hypertree-scan-second", 3, None), ("unicyclic-scan", 2, 3),
+                       ("unicyclic-scan", 5, None), ("hypertree-scan-max", 4, 2), ("no-such-theorem", 4, None)):
+        with pytest.raises(ValueError):
+            ver.check_theorem(name, m, 3, g)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_each_theorem_target_is_a_member_of_its_class_and_passes_its_filter(k):
+    # At the smallest m where each row applies: the key its class gives
+    # the target's graph is a member's key, and the graph passes the filter.
+    for row in ver.THEOREMS:
+        m = next(m for m in range(1, 10) if row.applies(m, k))
+        members = dict(row.cls.members([m], k, row.g)[m])
+        target = cf.closed_form_graph(row.target, m=m, k=k)
+        assert row.cls.key(target) in members, row.name(m, k)
+        assert row.keep is None or row.keep(target), row.name(m, k)
 
 
 def test_interval_comparison_never_bare_floats():
@@ -222,7 +246,7 @@ def test_interval_comparison_never_bare_floats():
     # the wide bracket keeps the comparison inconclusive-safe.
     from abctensor.spectral import SolveOptions
 
-    r = ver.check_edge_sum_bounds(gen.hyperstar(4, 3), SolveOptions(tol=1e-3))
+    r = bound(gen.hyperstar(4, 3), "edge-sum-bounds", SolveOptions(tol=1e-3))
     assert r.ok
 
 
@@ -258,8 +282,8 @@ def test_two_suite_calls_make_the_same_solves(monkeypatch):
 
 def test_a_suite_pass_does_its_structure_work_once(monkeypatch):
     # One hypertree growth per edge size, one build per pendant family
-    # member and one code per leader's target: 232 builds, 99 codes and
-    # 80 attachments when written.  Growing each m again, or building a
+    # member and one build and key per leader's target: 252 builds, 99
+    # codes and 80 attachments when written.  Growing each m again, or building a
     # member twice, breaks these caps.
     from abctensor import canon, hypergraph
 
@@ -294,12 +318,15 @@ def test_gathered_suite_equals_one_solve_at_a_time(monkeypatch, m, k):
 def test_suite_bound_checks_equal_the_public_checks():
     graphs = [gen.hyperstar(4, 3), gen.hyperpath(4, 3), gen.hypercycle(4, 3),
               gen.s_composition(4, 3, (1, 1, 1)), gen.complete(4, 3), gen.complete(5, 2)]
-    for name, check in (("delta-bound", ver.check_delta_bound),
-                        ("edge-sum-bounds", ver.check_edge_sum_bounds),
-                        ("regular-corollary", ver.check_regular_corollary),
-                        ("mean-bound", ver.check_mean_bound),
-                        ("randic-unit", ver.check_randic_unit)):
-        assert ver.default_suite(m=4, k=3, prefix=name) == [check(G) for G in graphs]
+    for name in ("delta-bound", "edge-sum-bounds", "regular-corollary", "mean-bound", "randic-unit"):
+        assert ver.default_suite(m=4, k=3, prefix=name) == [r for G in graphs for r in ver.check_bounds(G, name)]
+
+
+def test_suite_theorem_checks_equal_check_theorem():
+    stems = ("hypertree-scan-max", "hypertree-scan-nonpower", "hypertree-scan-second")
+    assert ver.default_suite(m=4, k=4, prefix="hypertree-scan-") == [ver.check_theorem(s, 4, 4) for s in stems]
+    assert ver.default_suite(m=4, k=4, prefix="unicyclic-scan") == [
+        ver.check_theorem("unicyclic-scan", 4, 4, g) for g in (2, 3)]
 
 
 def test_suite_statuses_are_pinned():
@@ -307,3 +334,11 @@ def test_suite_statuses_are_pinned():
     # is a finding about the paper or the code, to explain, not re-pin.
     pinned = (Path(__file__).parent / "data" / "verify_all_statuses.txt").read_text().splitlines()
     assert [f"{r.name} {r.status}" for r in ver.default_suite()] == pinned
+
+
+@pytest.mark.parametrize("m, k, name", [(2, None, "m2"), (4, 5, "k5_m4"), (7, 3, "m7_k3"), (6, 4, "m6_k4")])
+def test_edge_grid_statuses_are_pinned(m, k, name):
+    # m = 2 has no second or non-power rows; k = 5 falls back to the
+    # default of ENUM_BUDGET.  A row whose domain drifts changes a name.
+    pinned = (Path(__file__).parent / "data" / f"verify_all_statuses_{name}.txt").read_text().splitlines()
+    assert [f"{r.name} {r.status}" for r in ver.default_suite(m=m, k=k)] == pinned
