@@ -173,8 +173,10 @@ def spectral_radius(
     Wider brackets are returned as computed.  A hypergraph
     whose weights are all zero (the single-edge case under the abc rule)
     short-circuits to rho = 0.  Disconnected input raises
-    NotConnectedError; bracket stagnation past max_iters raises
-    ConvergenceError carrying the last bracket, and so does a bracket
+    NotConnectedError, and so does an operator with a nonzero weight
+    whose nonzero-weight edges do not connect it; bracket stagnation
+    past max_iters raises ConvergenceError carrying the last bracket,
+    and so does a bracket
     that admits rho <= 0, where the shift has swamped every digit of rho.
     """
     return spectral_radii([_as_operator(G, weighting)], opts)[0]
@@ -191,9 +193,11 @@ def spectral_radii(
     The problems of one k are solved as one stack: every member takes
     each step in lock step with the others, and leaves when its own
     bracket closes.  TypeError names the first problem that is neither an
-    operator nor such a pair.  NotConnectedError is raised for a
-    disconnected problem before any step; ConvergenceError for the first
-    problem, in input order, that fails, after all are solved.
+    operator nor such a pair.  NotConnectedError is raised before any
+    step for a disconnected problem and then for one with a nonzero
+    weight that its nonzero-weight edges do not connect; ConvergenceError
+    for the first problem, in input order, that fails, after all are
+    solved.
     """
     problems = [_as_problem(i, p) for i, p in enumerate(problems)]
     by_k: dict = {}
@@ -205,6 +209,8 @@ def spectral_radii(
         stacks.append((index, _Stack([problems[i] for i in index])))
     if not all(stack.connected() for _, stack in stacks):
         raise NotConnectedError("hypergraph is not connected")
+    if not all(stack.weights_connect() for _, stack in stacks):
+        raise NotConnectedError("hypergraph is not connected by its nonzero-weight edges")
     out: list = [None] * len(problems)
     while stacks:  # each stack, its layouts and their workspaces go once solved
         index, stack = stacks.pop()
@@ -258,6 +264,17 @@ class _Stack:
         layout = self.layout
         roots = _component_roots(layout.edges, int(layout.sizes.sum()))
         return bool(np.array_equal(roots, np.repeat(layout.starts, layout.sizes)))
+
+    def weights_connect(self) -> bool:
+        """Whether each member with a nonzero weight is connected by its
+        nonzero-weight edges; the edges are copied only when some weight
+        is zero."""
+        layout = self.layout
+        if layout.weights.all():
+            return True
+        roots = _component_roots(layout.edges[layout.weights != 0.0], int(layout.sizes.sum()))
+        judged = np.repeat(self.weighted(), layout.sizes)
+        return bool(np.array_equal(roots[judged], np.repeat(layout.starts, layout.sizes)[judged]))
 
     def weighted(self) -> np.ndarray:
         """Whether each member has a nonzero weight."""

@@ -117,6 +117,17 @@ class TensorOperator:
     G: UniformHypergraph
     weights: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        """Hold the weights as a float64 array of shape (m,), every entry
+        finite and >= 0; one min and one max pass, and no copy of a
+        float64 array."""
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (self.G.m,):
+            raise ValueError(f"weights of shape {w.shape} do not match the m={self.G.m} edges")
+        if not (w.min() >= 0.0 and w.max() < math.inf):  # NaN fails both
+            raise ValueError("weights must be finite and >= 0")
+        object.__setattr__(self, "weights", w)
+
     @classmethod
     def from_weighting(cls, G: UniformHypergraph, w: Weighting) -> "TensorOperator":
         return cls(G=G, weights=edge_weights(G, w))

@@ -1,9 +1,11 @@
 """Numeric verification suite: every bound, equality condition, and
 extremal ordering becomes a check at desk scale.
 
-Spectral estimates enter as certified brackets widened by ``SLACK``;
-closed forms are bare floats with no error bound, met within a
-tolerance.  So ``violated`` means a miss beyond those tolerances.
+Each bound check, and the power lift, states a claim lo <= rho <= hi
+that ``_claim`` compares with a certified bracket: the bracket is
+widened by ``SLACK`` once on each side, the claim's bounds are used as
+computed, and ``violated`` means the two miss each other.  Closed
+forms are bare floats with no error bound, met within a tolerance.
 
 Every group of checks is a plan: the (graph, weighting) requests it
 needs and a judgement of their estimates.  ``check_bounds``,
@@ -24,7 +26,7 @@ and judges each row with ``_leader``, by the keys its class gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple, Optional
 
@@ -71,10 +73,6 @@ class CheckResult:
         return self.status != VIOLATED
 
 
-def _interval(est: SpectralEstimate) -> tuple[float, float]:
-    return est.lower - SLACK, est.upper + SLACK
-
-
 def _run(plans, opts: Optional[SolveOptions] = None) -> list[CheckResult]:
     """Solve the requests of every (requests, judge) plan in one
     ``spectral_radii`` call, then judge each plan's estimates."""
@@ -93,18 +91,29 @@ def check_bounds(G: UniformHypergraph, prefix: str = "", opts=None) -> list[Chec
     return _run([_bound_plan(G, prefix)], opts)
 
 
-def _edge_sum_bounds(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
+def _claim(
+    name: str, est: SpectralEstimate, lo: float, hi: float, equal: bool, rhs: float, margin: float, detail: str
+) -> CheckResult:
+    """The claim lo <= rho <= hi on the rho that ``est`` brackets, met
+    with equality iff ``equal``.  It is violated when the bracket widened
+    by SLACK on each side misses [lo, hi], which is used as computed."""
+    if est.upper + SLACK < lo or est.lower - SLACK > hi:
+        return CheckResult(name, VIOLATED, est.rho, rhs, margin, detail)
+    return CheckResult(name, EQUALITY if equal else HOLDS, est.rho, rhs, margin, detail)
+
+
+def _edge_sum_bounds(name: str, G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     """min_e (sum_{i in e} d_i - k)^(1/k) <= rho_abc <= max_e (...)^(1/k);
     both collapse to equalities iff edge degree sums are constant."""
     sums = G.degree_array[G.edge_array].sum(axis=1) - G.k
-    return _between("edge-sum-bounds", "edge sums constant", est, int(sums.min()), int(sums.max()), G.k)
+    return _between(name, "edge sums constant", est, int(sums.min()), int(sums.max()), G.k)
 
 
-def _regular_corollary(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
+def _regular_corollary(name: str, G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     """(k*delta - k)^(1/k) <= rho_abc <= (k*Delta - k)^(1/k); equalities iff regular."""
     dv, k = degrees(G), G.k
     lo, hi = k * dv.min_degree - k, k * dv.max_degree - k
-    return _between("regular-corollary", "regular", est, lo, hi, k)
+    return _between(name, "regular", est, lo, hi, k)
 
 
 def _between(
@@ -113,22 +122,12 @@ def _between(
     """The claim lo^(1/k) <= rho <= hi^(1/k), attained with equality iff
     lo == hi; ``label`` names that condition in the detail."""
     lo_bound, hi_bound = lo ** (1.0 / k), hi ** (1.0 / k)
-    ival = _interval(est)
-    if ival[1] < lo_bound - SLACK or ival[0] > hi_bound + SLACK:
-        status = VIOLATED
-    else:
-        status = EQUALITY if lo == hi else HOLDS
-    return CheckResult(
-        name=name,
-        status=status,
-        lhs=est.rho,
-        rhs=hi_bound,
-        margin=min(est.rho - lo_bound, hi_bound - est.rho),
-        detail=f"bounds [{lo_bound:.12g}, {hi_bound:.12g}], {label}: {lo == hi}",
-    )
+    margin = min(est.rho - lo_bound, hi_bound - est.rho)
+    detail = f"bounds [{lo_bound:.12g}, {hi_bound:.12g}], {label}: {lo == hi}"
+    return _claim(name, est, lo_bound, hi_bound, lo == hi, hi_bound, margin, detail)
 
 
-def _mean_bound(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
+def _mean_bound(name: str, G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     """rho_abc >= k! * abc_index / n, equality iff the per-vertex sums of
     omega^(1/k) over incident edges are constant."""
     k = G.k
@@ -137,24 +136,12 @@ def _mean_bound(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     bound = math.factorial(k) * index / G.n
     row = np.bincount(G.edge_array.ravel(), np.repeat(weights, k), G.n)
     constant_rows = bool(row.max() - row.min() <= 1e-12 * max(1.0, row.max()))
-    if _interval(est)[1] < bound - SLACK:
-        status = VIOLATED
-    elif constant_rows:
-        status = EQUALITY
-    else:
-        status = HOLDS
-    return CheckResult(
-        name="mean-bound",
-        status=status,
-        lhs=est.rho,
-        rhs=bound,
-        margin=est.rho - bound,
-        detail=f"constant row sums: {constant_rows}",
-    )
+    return _claim(name, est, bound, math.inf, constant_rows, bound, est.rho - bound,
+                  f"constant row sums: {constant_rows}")
 
 
 def _delta_bound(
-    G: UniformHypergraph, abc_est: SpectralEstimate, adj_est: SpectralEstimate
+    name: str, G: UniformHypergraph, abc_est: SpectralEstimate, adj_est: SpectralEstimate
 ) -> CheckResult:
     """rho_abc <= ((Delta-1)/Delta)^(1/k) * rho_adj (Delta >= 2), equality
     iff every edge has omega = (Delta-1)/Delta."""
@@ -162,18 +149,9 @@ def _delta_bound(
     factor = ((cap - 1) / cap) ** (1.0 / k)
     rows = G.degree_array[G.edge_array].tolist()  # Python ints: exact products
     all_at_cap = all((sum(d) - k) * cap == (cap - 1) * math.prod(d) for d in rows)
-    if _interval(abc_est)[0] > factor * adj_est.upper + SLACK:
-        status = VIOLATED
-    else:
-        status = EQUALITY if all_at_cap else HOLDS
-    return CheckResult(
-        name="delta-bound",
-        status=status,
-        lhs=abc_est.rho,
-        rhs=factor * adj_est.rho,
-        margin=factor * adj_est.rho - abc_est.rho,
-        detail=f"all omega at (Delta-1)/Delta: {all_at_cap}",
-    )
+    rhs = factor * adj_est.rho
+    return _claim(name, abc_est, -math.inf, factor * adj_est.upper, all_at_cap, rhs, rhs - abc_est.rho,
+                  f"all omega at (Delta-1)/Delta: {all_at_cap}")
 
 
 def check_power_relation(G: UniformHypergraph, k: int, opts=None) -> CheckResult:
@@ -187,35 +165,19 @@ def _power_plan(G: UniformHypergraph, k: int):
 
     def judge(ests):
         base, lifted = ests
-        lhs = (max(base.lower, 0.0) ** expo - SLACK, max(base.upper, 0.0) ** expo + SLACK)
-        rhs = _interval(lifted)
-        overlap = lhs[0] <= rhs[1] and rhs[0] <= lhs[1]
-        return [CheckResult(
-            name="power-relation",
-            status=HOLDS if overlap else VIOLATED,
-            lhs=lifted.rho,
-            rhs=base.rho**expo,
-            margin=abs(lifted.rho - base.rho**expo),
-            detail=f"r={r}, k={k}",
-        )]
+        lo, hi = max(base.lower, 0.0) ** expo, max(base.upper, 0.0) ** expo
+        rhs = base.rho**expo
+        return [_claim("power-relation", lifted, lo, hi, False, rhs, abs(lifted.rho - rhs), f"r={r}, k={k}")]
 
     return [(G, Weighting.ABC), (power(G, k), Weighting.ABC)], judge
 
 
-def _randic_unit(G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
+def _randic_unit(name: str, G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
     """rho of the randic tensor is 1; x_i = d_i^(1/k) is an exact eigenvector."""
     x = k_unit(G.degree_array ** (1.0 / G.k), G.k)
     res = residual_of(TensorOperator.from_weighting(G, Weighting.RANDIC), 1.0, x)
-    ival = _interval(est)
-    ok = ival[0] <= 1.0 <= ival[1] and res <= 1e-10
-    return CheckResult(
-        name="randic-unit",
-        status=HOLDS if ok else VIOLATED,
-        lhs=est.rho,
-        rhs=1.0,
-        margin=abs(est.rho - 1.0),
-        detail=f"explicit eigenvector residual {res:.3e}",
-    )
+    claim = _claim(name, est, 1.0, 1.0, False, 1.0, abs(est.rho - 1.0), f"explicit eigenvector residual {res:.3e}")
+    return claim if res <= 1e-10 else replace(claim, status=VIOLATED)
 
 
 _BOUND_JUDGEMENTS = (
@@ -225,22 +187,23 @@ _BOUND_JUDGEMENTS = (
     ("mean-bound", _mean_bound, (Weighting.ABC,)),
     ("randic-unit", _randic_unit, (Weighting.RANDIC,)),
 )
-"""Each bound check's name, its judgement, and the weightings of the
-estimates the judgement takes, in the order it takes them."""
+"""Each bound check's name, its judgement, which takes that name, the
+graph and estimates and returns the record, and the weightings of the
+estimates, in the order it takes them."""
 
 
 def _bound_plan(G: UniformHypergraph, prefix: str):
     """The plan of the bound checks on G whose names start with
     ``prefix``: one request per weighting their judgements take."""
     judgements = [
-        (judge, ws) for name, judge, ws in _BOUND_JUDGEMENTS
+        (name, judge, ws) for name, judge, ws in _BOUND_JUDGEMENTS
         if name.startswith(prefix) and (name != "delta-bound" or degrees(G).max_degree >= 2)
     ]
-    weightings = list(dict.fromkeys(w for _, ws in judgements for w in ws))
+    weightings = list(dict.fromkeys(w for _, _, ws in judgements for w in ws))
 
     def judge(ests):
         by_weighting = dict(zip(weightings, ests))
-        return [j(G, *(by_weighting[w] for w in ws)) for j, ws in judgements]
+        return [j(name, G, *(by_weighting[w] for w in ws)) for name, j, ws in judgements]
 
     return [(G, w) for w in weightings], judge
 
@@ -471,6 +434,10 @@ def default_suite(
     ``prefix`` are run, and only the checks whose names do are returned,
     so the result equals the full suite filtered by that prefix.
     """
+    if m is not None and m < 1:
+        raise ValueError(f"m must be >= 1, not {m}")
+    if k is not None and k < 2:
+        raise ValueError(f"k must be >= 2, not {k}")
     if g not in (None, 2, 3):
         raise ValueError("g must be 2 or 3")
     ms = [m] if m is not None else list(range(3, 9))

@@ -239,9 +239,36 @@ def _fuzz_vectors(data, G):
     np.testing.assert_array_equal(got, want)
 
 
+@st.composite
+def operator_weights(draw, m):
+    """Weights for m edges, sometimes m - 1 or m + 1 of them or an m x 1
+    column, as an array or a list, with an occasional zero, negative,
+    infinite or NaN entry."""
+    shape = draw(st.sampled_from([(m,), (m,), (m,), (m - 1,), (m + 1,), (m, 1)]))
+    entry = st.one_of(st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.sampled_from([0.0, -0.0]),
+                      st.sampled_from([-1.0, math.inf, -math.inf, math.nan]))
+    entries = draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
+    weights = np.array(entries, dtype=np.float64).reshape(shape)
+    return weights if draw(st.booleans()) else weights.tolist()
+
+
+def _nonzero_edges_connect(G, weights) -> bool:
+    """Whether the edges of nonzero weight reach every vertex of G from
+    vertex 0, by a search done here."""
+    edges = [set(e) for e, x in zip(G.edges, weights) if x != 0.0]
+    reached, grown = {0}, True
+    while grown:
+        grown = False
+        for e in edges:
+            if reached & e and not e <= reached:
+                reached |= e
+                grown = True
+    return len(reached) == G.n
+
+
 def _fuzz_solves(data, G):
     w = data.draw(st.sampled_from(WEIGHTING_ARGS))
-    with_operator = data.draw(st.booleans())
+    how = data.draw(st.sampled_from(["pair", "scaled", "direct"]))
     kwargs, bad = {}, []
     for field, (good, rejected) in OPTION_VALUES.items():
         if data.draw(st.integers(0, 5)):
@@ -252,30 +279,43 @@ def _fuzz_solves(data, G):
     opts = _outcome(lambda: SolveOptions(**kwargs))
     if bad:
         return _assert_raised(opts, ValueError, f"{bad[0]} must be")
-    c = data.draw(st.sampled_from(SCALES))
     member = _member(w)
-    if with_operator:
-        op = _outcome(lambda: TensorOperator.from_weighting(G, member or Weighting.ABC).scaled(c))
-        if not (math.isfinite(c) and c >= 0):
-            return _assert_raised(op, ValueError, "scale factor must be finite and >= 0")
-        got = _outcome(spectral_radius, op, w, opts)
-        if w is not None:
-            return _assert_raised(got, TypeError, "an operator alone")
-    else:
+    if how == "pair":
         got = _outcome(spectral_radius, G, w, opts)
         if w is None:
             return _assert_raised(got, TypeError, "a hypergraph and its weighting")
         if member is None:
             return _assert_raised(got, ValueError, NOT_A_WEIGHTING)
+    else:
+        if how == "scaled":
+            c = data.draw(st.sampled_from(SCALES))
+            op = _outcome(lambda: TensorOperator.from_weighting(G, member or Weighting.ABC).scaled(c))
+            if not (math.isfinite(c) and c >= 0):
+                return _assert_raised(op, ValueError, "scale factor must be finite and >= 0")
+        else:
+            weights = data.draw(operator_weights(G.m))
+            op = _outcome(TensorOperator, G, weights)
+            given = np.array(weights, dtype=np.float64)
+            if given.shape != (G.m,):
+                return _assert_raised(op, ValueError, f"do not match the m={G.m} edges")
+            if not np.all((0.0 <= given) & (given < math.inf)):
+                return _assert_raised(op, ValueError, "weights must be finite and >= 0")
+            assert op.weights.dtype == np.float64 and op.weights.tolist() == given.tolist()
+        extra = data.draw(st.sampled_from([None, None, None, w]))
+        got = _outcome(spectral_radius, op, extra, opts)
+        if extra is not None:
+            return _assert_raised(got, TypeError, "an operator alone")
     if not G.connected:
-        return _assert_raised(got, NotConnectedError, "not connected")
+        return _assert_raised(got, NotConnectedError, "hypergraph is not connected")
+    if how == "direct" and given.any() and not _nonzero_edges_connect(G, given):
+        return _assert_raised(got, NotConnectedError, "not connected by its nonzero-weight edges")
     if isinstance(got, ConvergenceError):
         assert got.iters <= opts.max_iters and not got.lower > got.upper
         return
     assert isinstance(got, abctensor.SpectralEstimate), got
     assert got.eigenvector.shape == (G.n,) and np.all(got.eigenvector > 0)
     assert got.lower <= got.rho <= got.upper and got.iters <= opts.max_iters
-    if member is Weighting.RANDIC and not with_operator:
+    if member is Weighting.RANDIC and how == "pair":
         # Randic rho is 1, up to the rounding of the weights.
         assert got.lower - 1e-12 <= 1.0 <= got.upper + 1e-12
 

@@ -241,14 +241,15 @@ def test_floats_serialized_17_digits(capsys):
     ("rho --family hyperpath --m 2 --k 3 --tol nan", "tol must be positive and finite"),
     ("rho --family hyperpath --m 2 --k 3 --tol inf", "tol must be positive and finite"),
     ("gen --family hyperstar --m x", "argument --m: invalid int value: 'x'"),
-    ("verify all --m 0", "hyperstar needs m >= 1"),
+    ("verify all --m 0", "m must be >= 1, not 0"),
+    ("verify all --k 1", "k must be >= 2, not 1"),
     ("verify unicyclic --m 3 --k 3 --g 5", "g must be 2 or 3"),
     ("verify delta --m 3 --k 3 --g 0", "g must be 2 or 3"),
 ], ids=["family-flag-rho", "family-flag-gen", "overflow", "max-iters-0", "no-convergence", "gen-no-family",
         "huge-hyperstar", "huge-hyperpath", "huge-hypercycle", "huge-double-star", "huge-power",
         "huge-closed-form-graph", "huge-k-s4-1111", "huge-k-u2", "huge-k-u3", "huge-k-s311",
         "shift-inf", "shift-nan", "shift-1e20", "shift-1e16", "tol-nan", "tol-inf", "usage", "verify-m-0",
-        "verify-g-5", "verify-g-0"])
+        "verify-k-1", "verify-g-5", "verify-g-0"])
 def test_probes_end_in_the_error_record(capsys, argv, needle):
     code, out, err = run(capsys, *argv.split(), "--json")
     assert code == 2 and out == ""

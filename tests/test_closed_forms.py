@@ -3,6 +3,7 @@ orderings, and agreement with the solver."""
 
 import math
 
+import numpy as np
 import pytest
 
 from abctensor import closed_forms as cf
@@ -206,6 +207,17 @@ def test_largest_real_roots_match_50_digit_roots():
                 want = max(r.real for r in roots if abs(r.imag) <= 1e-30 * max(1, abs(r)))
                 got = cf.largest_real_root(p)
                 assert abs(got - want) <= 1e-12 * max(1, abs(want)), p.name
+
+
+def test_each_named_bracket_contains_its_largest_root():
+    # The largest real root of the float coefficients, by numpy's
+    # companion-matrix eigenvalues, for every m of the domain up to 200.
+    for poly, first_m in NAMED_POLYNOMIALS:
+        for m in range(first_m, 201):
+            p = poly(m)
+            roots = np.roots(p.coeffs[::-1])
+            root = max(r.real for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r)))
+            assert p.bracket[0] <= root <= p.bracket[1], (p.name, root, p.bracket)
 
 
 # ---- strict orderings ----

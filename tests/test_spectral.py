@@ -57,6 +57,29 @@ def test_disconnected_raises():
         spectral_radius(build(3, 6, [[0, 1, 2], [3, 4, 5]]), ABC)
 
 
+def test_zero_weight_edges_that_cut_the_operator_raise_before_any_step(monkeypatch):
+    # Zero weight on the middle edge of P_{4,3}, or on an end edge, whose
+    # two pendant vertices it alone reaches, leaves the operator reducible.
+    G, H = gen.hyperpath(4, 3), build(3, 6, [[0, 1, 2], [3, 4, 5]])
+    steps = []
+    monkeypatch.setattr(spectral._Layout, "evaluate", lambda *a: steps.append(a))
+    for weights in ([1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]):
+        op = TensorOperator(G, weights)
+        with pytest.raises(NotConnectedError, match="^hypergraph is not connected by its nonzero-weight edges$"):
+            spectral.spectral_radii([(gen.hyperstar(3, 3), ABC), op])
+        # A disconnected hypergraph raises first, whatever its weights.
+        with pytest.raises(NotConnectedError, match="^hypergraph is not connected$"):
+            spectral.spectral_radii([op, TensorOperator(H, [1.0, 0.0])])
+    assert steps == []
+
+
+def test_an_all_zero_operator_is_connected_by_its_hypergraph():
+    G = gen.hyperpath(4, 3)
+    zero, star = spectral.spectral_radii([TensorOperator(G, np.zeros(4)), (gen.hyperstar(3, 3), ABC)])
+    assert (zero.rho, zero.lower, zero.upper, zero.iters) == (0.0, 0.0, 0.0, 0)
+    assert star.rho == pytest.approx(2 ** (1 / 3), abs=1e-9)
+
+
 def test_nonconvergence_carries_bracket():
     with pytest.raises(ConvergenceError) as exc:
         spectral_radius(gen.hyperpath(8, 3), ABC, SolveOptions(tol=1e-10, max_iters=3))

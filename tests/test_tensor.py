@@ -159,6 +159,30 @@ def test_scaled_operator():
     assert op.scaled(0.25).apply(x) == pytest.approx(0.25 * op.apply(x), rel=1e-15)
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([1.0, -1.0, 1.0, 1.0], "weights must be finite and >= 0"),
+    ([1.0, math.inf, 1.0, 1.0], "weights must be finite and >= 0"),
+    ([-math.inf, 1.0, 1.0, 1.0], "weights must be finite and >= 0"),
+    ([1.0, math.nan, 1.0, 1.0], "weights must be finite and >= 0"),
+    ([1.0, 1.0], r"weights of shape \(2,\) do not match the m=4 edges"),
+    ([[1.0] * 4], r"weights of shape \(1, 4\) do not match the m=4 edges"),
+], ids=["negative", "inf", "minus-inf", "nan", "short", "row"])
+def test_operator_weights_are_checked_where_they_enter(weights, message):
+    for given in (weights, np.array(weights)):
+        with pytest.raises(ValueError, match=message):
+            TensorOperator(gen.hyperpath(4, 3), given)
+
+
+def test_operator_weights_are_one_float64_array():
+    G = gen.hyperpath(4, 3)
+    w = np.array([0.5, 1.0, 1.5, 2.0])
+    assert TensorOperator(G, w).weights is w  # a float64 array is not copied
+    from_list = TensorOperator(G, [1, 2, 3, 4])
+    assert from_list.weights.dtype == np.float64 and from_list.weights.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert estimate_fields(spectral_radius(TensorOperator(G, w.tolist()))) == estimate_fields(
+        spectral_radius(TensorOperator(G, w)))
+
+
 def test_form_matches_dense_oracle():
     rng = np.random.default_rng(17)
     count = 0

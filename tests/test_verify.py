@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from abctensor import build
@@ -11,6 +12,8 @@ from abctensor import closed_forms as cf
 from abctensor import generators as gen
 from abctensor import verify as ver
 from abctensor.closed_forms import rho_abc_hyperpath, rho_abc_u2, rho_abc_u3
+from abctensor.spectral import SpectralEstimate
+from abctensor.tensor import abc_index
 from abctensor.verify import EQUALITY, HOLDS
 from helpers import count_calls
 
@@ -250,6 +253,50 @@ def test_interval_comparison_never_bare_floats():
     assert r.ok
 
 
+# Each kind of claim on D_{5,1} (2-uniform, edge degree sums less k of
+# 1, 3 and 4, degrees 1, 2 and 4) as (run, bound, side, brackets):
+# ``run`` judges it, ``bound`` is the end of the claim, as the check
+# computes it, that the estimate is put ``side`` of, and ``brackets``
+# places that estimate's bracket among the requests.
+D51 = gen.double_star(5, 1)
+RULE_EDGE = {
+    "edge-sum-bounds-below": (lambda: ver.check_bounds(D51, "edge-sum-bounds"), 1 ** 0.5, -1, lambda b: [b]),
+    "edge-sum-bounds-above": (lambda: ver.check_bounds(D51, "edge-sum-bounds"), 4 ** 0.5, 1, lambda b: [b]),
+    "regular-corollary-below": (lambda: ver.check_bounds(D51, "regular-corollary"), 0 ** 0.5, -1, lambda b: [b]),
+    "regular-corollary-above": (lambda: ver.check_bounds(D51, "regular-corollary"), 6 ** 0.5, 1, lambda b: [b]),
+    "mean-bound-below": (lambda: ver.check_bounds(D51, "mean-bound"),
+                         math.factorial(2) * abc_index(D51) / D51.n, -1, lambda b: [b]),
+    "delta-bound-above": (lambda: ver.check_bounds(D51, "delta-bound"),
+                          (3 / 4) ** (1.0 / 2) * 2.0, 1, lambda b: [b, (2.0, 2.0)]),
+    "randic-unit-below": (lambda: ver.check_bounds(D51, "randic-unit"), 1.0, -1, lambda b: [b]),
+    "randic-unit-above": (lambda: ver.check_bounds(D51, "randic-unit"), 1.0, 1, lambda b: [b]),
+    "power-relation-below": (lambda: [ver.check_power_relation(D51, 3)], 1.5 ** (2 / 3), -1,
+                             lambda b: [(1.5, 1.6), b]),
+    "power-relation-above": (lambda: [ver.check_power_relation(D51, 3)], 1.6 ** (2 / 3), 1,
+                             lambda b: [(1.5, 1.6), b]),
+}
+
+
+@pytest.mark.parametrize("case", RULE_EDGE)
+def test_a_bracket_is_widened_by_slack_once(monkeypatch, case):
+    # A made-up bracket 1.5 SLACK outside the claim misses it; one 0.5
+    # SLACK outside meets it once widened.
+    run, bound, side, brackets = RULE_EDGE[case]
+    for outside, violated in ((1.5, True), (0.5, False)):
+        near = bound + side * outside * ver.SLACK
+        bracket = (near, near + 1e-6) if side > 0 else (near - 1e-6, near)
+        requests = brackets(bracket)
+
+        def made_up(problems, opts=None):
+            assert len(problems) == len(requests)
+            return [SpectralEstimate((lo + hi) / 2, np.ones(G.n), lo, hi, 1, 0.0, 0)
+                    for (G, _), (lo, hi) in zip(problems, requests)]
+
+        monkeypatch.setattr(ver, "spectral_radii", made_up)
+        (r,) = run()
+        assert (r.status == ver.VIOLATED) is violated, (outside, r)
+
+
 def _count_solves(monkeypatch) -> tuple[list, list]:
     """Patch the suite's solver to record the weighting of every member
     it is passed, and the number of members of every call."""
@@ -299,6 +346,15 @@ def test_suite_rejects_g_before_any_solve(monkeypatch):
     for g in (0, 1, 4, 5):
         with pytest.raises(ValueError, match="g must be 2 or 3"):
             ver.default_suite(m=3, k=3, g=g)
+    assert weightings == [] and calls == []
+
+
+def test_suite_names_a_bad_m_or_k_before_any_solve(monkeypatch):
+    weightings, calls = _count_solves(monkeypatch)
+    for m, k, message in ((0, None, "m must be >= 1, not 0"), (-2, 3, "m must be >= 1, not -2"),
+                          (None, 1, "k must be >= 2, not 1"), (3, 0, "k must be >= 2, not 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ver.default_suite(m=m, k=k)
     assert weightings == [] and calls == []
 
 
