@@ -196,16 +196,6 @@ def quartic_s4_poly(m: int) -> PolynomialSpec:
     )
 
 
-def adjacency_s421_poly(m: int) -> PolynomialSpec:
-    """Cubic whose largest root is rho_adj(S_{m,k;m-4,2,1})^k; the root
-    lies in (m-3, m-1.5) for m >= 6, above m-2 at m = 6 and 7."""
-    return PolynomialSpec(
-        name=f"adj_s421[m={m}]",
-        coeffs=(8.0 - 2 * m, 3.0 * m - 10, -float(m), 1.0),
-        bracket=(m - 3.0, m - 1.5),
-    )
-
-
 # ----------------------------------------------------------------------
 # Closed-form radii.
 

@@ -23,16 +23,24 @@ solve.  Newton brackets end a few ulps wide, below the rounding error of
 a computed ratio, so a bracket that narrow is widened by that error.
 
 ``spectral_radii`` is the one loop; ``spectral_radius`` is a batch of
-one, on the same path.  It stacks its operators by edge size k, and the
+one, on the same path.  It stacks its problems by edge size k, and the
 members of a stack take every step in lock step.  Each member keeps its
-own bracket, switch rule and kind of step.  A layout numbers members
-end to end, sorted by n, member b's vertex v as start[b] + v, on one
-edge array of their own.  A solve keeps one layout of its live
-members: each step contracts all of it in one kernel call and keeps the
+own bracket, switch rule and kind of step.  A stack lays its members out
+once, end to end and sorted by n, member b's vertex v as start[b] + v,
+on one edge array of their own, and keeps those rows for the whole
+solve: each step contracts all of it in one kernel call and keeps the
 rows of the members taking that step, and each Newton step factors the
-bordered systems of each run of equal n as one stack.  A member leaves
-when its own bracket closes, and only then is a smaller layout taken, so
-every estimate equals a solve of that operator alone, bit for bit.
+bordered systems of each run of equal n in one stacked solve.  A member is done
+when its own bracket closes, or at once when its weights are all zero;
+it is never watched or given a Newton step again and rides along on the
+power steps of the others, so every estimate equals a solve of that
+operator alone, bit for bit.
+
+The start is uniform, or seeded-random for a seed.  A problem given as a
+hypergraph with Randić weights starts, unseeded, at ``k_unit(d^{1/k})``:
+an exact eigenvector (rho = 1, the paper's Randić theorem), where every
+Collatz ratio is 1 up to rounding and the bracket closes at step 1.  An
+operator does not name its weighting and starts uniform.
 """
 
 from __future__ import annotations
@@ -94,7 +102,7 @@ class SolveOptions:
     tol: float = 1e-10
     max_iters: int = 200_000
     shift: float = 1.0
-    seed: Optional[int] = None  # None: uniform start; else seeded-random
+    seed: Optional[int] = None  # None: the weighting's start; else seeded-random
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -129,17 +137,11 @@ class SpectralEstimate:
 
 
 def _initial_vector(n: int, k: int, opts: SolveOptions) -> np.ndarray:
+    """The first vector of n entries: uniform, or seeded-random for a seed."""
     if opts.seed is None:
         return np.full(n, n ** (-1.0 / k))
     rng = np.random.default_rng(opts.seed)
     return k_unit(rng.uniform(0.5, 1.5, size=n), k)
-
-
-def _as_operator(G, weighting) -> TensorOperator:
-    """G itself if it is an operator, else hypergraph G's operator under ``weighting``."""
-    if isinstance(G, TensorOperator) != (weighting is None):
-        raise TypeError("pass an operator alone, or a hypergraph and its weighting")
-    return G if weighting is None else TensorOperator.from_weighting(G, weighting)
 
 
 def _as_problem(i: int, p) -> tuple:
@@ -162,6 +164,9 @@ def spectral_radius(
 
     G is an operator alone, or a hypergraph with a ``weighting``, a
     member or its value; anything else raises TypeError or ValueError.
+    Without a seed, a hypergraph under Randić weights starts at its
+    exact eigenvector ``k_unit(d^{1/k})`` and every other problem at the
+    uniform vector.
 
     ``opts.max_iters`` bounds the steps of both kinds; ``newton_steps`` of
     the result counts the Newton ones.  Each end carries the rounding
@@ -179,7 +184,9 @@ def spectral_radius(
     and so does a bracket
     that admits rho <= 0, where the shift has swamped every digit of rho.
     """
-    return spectral_radii([_as_operator(G, weighting)], opts)[0]
+    if isinstance(G, TensorOperator) != (weighting is None):
+        raise TypeError("pass an operator alone, or a hypergraph and its weighting")
+    return spectral_radii([G if weighting is None else (G, weighting)], opts)[0]
 
 
 def spectral_radii(
@@ -191,8 +198,8 @@ def spectral_radii(
     problem alone.
 
     The problems of one k are solved as one stack: every member takes
-    each step in lock step with the others, and leaves when its own
-    bracket closes.  TypeError names the first problem that is neither an
+    each step in lock step with the others until its own bracket
+    closes.  TypeError names the first problem that is neither an
     operator nor such a pair.  NotConnectedError is raised before any
     step for a disconnected problem and then for one with a nonzero
     weight that its nonzero-weight edges do not connect; ConvergenceError
@@ -212,7 +219,7 @@ def spectral_radii(
     if not all(stack.weights_connect() for _, stack in stacks):
         raise NotConnectedError("hypergraph is not connected by its nonzero-weight edges")
     out: list = [None] * len(problems)
-    while stacks:  # each stack, its layouts and their workspaces go once solved
+    while stacks:  # each stack and its workspace go once solved
         index, stack = stacks.pop()
         for i, est in zip(index, _solve(stack, opts)):
             out[i] = est
@@ -226,93 +233,83 @@ def spectral_radii(
 
 class _Stack:
     """The (hypergraph, weights or Weighting) problems of one k, sorted
-    by n: their graphs, max degrees and full ``layout``.  The weights,
-    the connectivity test and the zero test are done once for all
-    members.  Its layout has its own kernel workspace, so a stack
+    by n, numbered end to end, member b's vertex v as ``starts[b] + v``,
+    so that one kernel call contracts all of them: their graphs,
+    ``sizes``, max degrees, ``runs`` of equal n as (first vertex, end,
+    count, n), edges, weights, kernel workspace, each edge's member
+    ``owner``, each member's first edge ``cut``, and the Randić members.
+    The weights, the connectivity test and the zero test are done once
+    for all members.  A stack has its own kernel workspace, so it
     belongs to one solve."""
 
     def __init__(self, problems):
         self.graphs = [G for G, _ in problems]
         self.k = self.graphs[0].k
-        sizes = np.array([G.n for G in self.graphs])
-        edges = np.concatenate([G.edge_array for G in self.graphs])
-        self.layout = _Layout(self.k, sizes, [G.m for G in self.graphs], edges, np.empty(len(edges)))
-        degrees = np.bincount(self.layout.edges.ravel(), minlength=int(sizes.sum()))
-        self.max_degree = np.maximum.reduceat(degrees, self.layout.starts).tolist()
+        self.sizes = sizes = np.array([G.n for G in self.graphs])
+        counts = [G.m for G in self.graphs]
+        ends = np.cumsum(sizes)
+        self.starts = ends - sizes
+        self.cut = [0, *np.cumsum(counts).tolist()]
+        self.owner = np.repeat(np.arange(len(sizes)), counts)
+        self.edges = np.concatenate([G.edge_array for G in self.graphs])
+        self.edges += self.starts[self.owner][:, None]
+        bounds = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
+        first = [*self.starts[bounds[:-1]].tolist(), int(ends[-1])]
+        self.runs = [(first[r], first[r + 1], bounds[r + 1] - bounds[r], int(sizes[bounds[r]])) for r in range(len(bounds) - 1)]
+        self.weights, self.work = np.empty(len(self.edges)), _kernels.Workspace(self.edges)
+        self._chunks = None
+        degrees = np.bincount(self.edges.ravel(), minlength=int(ends[-1]))
+        self.max_degree = np.maximum.reduceat(degrees, self.starts).tolist()
+        self.randic = [b for b, (_, w) in enumerate(problems) if w is Weighting.RANDIC]
         self._weigh(problems, degrees)
 
     def _weigh(self, problems, degrees):
         """Fill in the weights of every member's edges: a given array as
         it is, else one ``_degree_weights`` call per weighting over the
         stacked degrees, equal bit for bit to ``edge_weights``."""
-        layout = self.layout
-        W, rules = layout.weights, {}
+        W, rules = self.weights, {}
         for b, (_, w) in enumerate(problems):
             if isinstance(w, np.ndarray):
-                W[layout.cut[b] : layout.cut[b + 1]] = w
+                W[self.cut[b] : self.cut[b + 1]] = w
             else:
                 rules.setdefault(w, []).append(b)
         for w, members in rules.items():
             mask = np.zeros(len(problems), dtype=bool)
             mask[members] = True
-            rows = mask[layout.owner]
-            W[rows] = 1.0 if w is Weighting.ADJACENCY else _degree_weights(degrees[layout.edges[rows]], self.k, w)
+            rows = mask[self.owner]
+            W[rows] = 1.0 if w is Weighting.ADJACENCY else _degree_weights(degrees[self.edges[rows]], self.k, w)
 
     def connected(self) -> bool:
         """Whether every member is connected: its least vertex is the root
         of all of its vertices."""
-        layout = self.layout
-        roots = _component_roots(layout.edges, int(layout.sizes.sum()))
-        return bool(np.array_equal(roots, np.repeat(layout.starts, layout.sizes)))
+        roots = _component_roots(self.edges, int(self.sizes.sum()))
+        return bool(np.array_equal(roots, np.repeat(self.starts, self.sizes)))
 
     def weights_connect(self) -> bool:
         """Whether each member with a nonzero weight is connected by its
         nonzero-weight edges; the edges are copied only when some weight
         is zero."""
-        layout = self.layout
-        if layout.weights.all():
+        if self.weights.all():
             return True
-        roots = _component_roots(layout.edges[layout.weights != 0.0], int(layout.sizes.sum()))
-        judged = np.repeat(self.weighted(), layout.sizes)
-        return bool(np.array_equal(roots[judged], np.repeat(layout.starts, layout.sizes)[judged]))
+        roots = _component_roots(self.edges[self.weights != 0.0], int(self.sizes.sum()))
+        judged = np.repeat(self.weighted(), self.sizes)
+        return bool(np.array_equal(roots[judged], np.repeat(self.starts, self.sizes)[judged]))
 
     def weighted(self) -> np.ndarray:
         """Whether each member has a nonzero weight."""
-        layout = self.layout
-        return np.bincount(layout.owner[layout.weights != 0.0], minlength=len(self.graphs)) > 0
+        return np.bincount(self.owner[self.weights != 0.0], minlength=len(self.graphs)) > 0
 
-
-class _Layout:
-    """Members of one k numbered end to end, member b's vertex v as
-    ``starts[b] + v``, so that one kernel call contracts all of them:
-    their ``sizes``, ``runs`` of equal n as (first vertex, end, count,
-    n), edges, weights, kernel workspace, each edge's member ``owner``
-    and each member's first edge ``cut``.  A layout keeps no reference
-    to its stack, so the two form no cycle."""
-
-    def __init__(self, k, sizes, counts, edges, weights, shift=0):
-        """Member b has ``sizes[b]`` vertices and the next ``counts[b]``
-        rows of ``edges``, whose vertex ids are its own plus ``shift[b]``;
-        ``edges`` is renumbered in place."""
-        self.k, self.sizes = k, sizes
-        ends = np.cumsum(sizes)
-        self.starts = ends - sizes
-        self.cut = [0, *np.cumsum(counts).tolist()]
-        self.owner = np.repeat(np.arange(len(sizes)), counts)
-        edges += (self.starts - shift)[self.owner][:, None]
-        bounds = [0, *((sizes[1:] != sizes[:-1]).nonzero()[0] + 1).tolist(), len(sizes)]
-        first = [*self.starts[bounds[:-1]].tolist(), int(ends[-1])]
-        self.runs = [(first[r], first[r + 1], bounds[r + 1] - bounds[r], int(sizes[bounds[r]])) for r in range(len(bounds) - 1)]
-        self.edges, self.weights, self.work = edges, weights, _kernels.Workspace(edges)
-        self._chunks = None
-
-    def take(self, members) -> "_Layout":
-        """The layout of ``members`` (ascending positions) alone."""
-        mask = np.zeros(len(self.sizes), dtype=bool)
-        mask[members] = True
-        rows = mask[self.owner]
-        counts = np.diff(self.cut)[members]
-        return _Layout(self.k, self.sizes[members], counts, self.edges[rows], self.weights[rows], self.starts[members])
+    def start(self, opts) -> np.ndarray:
+        """Every member's first vector, end to end: seeded-random for a
+        seed, else uniform, but ``k_unit(d^{1/k})`` for a Randić member.
+        That is an exact eigenvector: each ratio ``(T x^{k-1})_v /
+        x_v^{k-1}`` is ``d_v^{1-1/k} / d_v^{1-1/k}`` = 1."""
+        k = self.k
+        X = np.concatenate([np.tile(_initial_vector(n, k, opts), c) for _, _, c, n in self.runs])
+        if opts.seed is None:
+            for b in self.randic:
+                X[self.starts[b] : self.starts[b] + self.sizes[b]] = k_unit(self.graphs[b].degree_array ** (1.0 / k), k)
+        return X
 
     def rep(self, values):
         """One value per member, spread over its vertices: the bare value
@@ -353,95 +350,80 @@ def _solve(stack, opts) -> list:
     """The estimate, or the ConvergenceError, of each member of one
     stack, all stepped in lock step.
 
-    ``lay`` is the layout of the live members; X, XK1, Y and R hold their
-    vectors end to end as it numbers them, and entry b of each per-member
-    list is the state of member ``live[b]``.  Members leave when their
-    brackets close, and only then is a new layout taken.  Each step
-    contracts the whole layout in one kernel call and keeps the rows of
-    the members that take it; the residuals take one more at the end.
+    X, XK1, Y and R hold every member's vectors end to end, member b at
+    rows ``starts[b] : starts[b] + sizes[b]`` for the whole solve, and
+    entry b of each per-member array is its state.  A member whose
+    bracket closes, or whose weights are all zero, is done: its estimate
+    is recorded, and it is never watched or given a Newton step again,
+    but it rides along on the power steps that open members take.  Each
+    step contracts the whole stack in one kernel call and keeps the rows
+    of the members that take it; the residuals take one more at the end.
     """
     k, s = stack.k, opts.shift
     out: list = [None] * len(stack.graphs)
-    weighted = stack.weighted()
-    for b in (~weighted).nonzero()[0].tolist():
-        out[b] = SpectralEstimate(0.0, _initial_vector(int(stack.layout.sizes[b]), k, opts), 0.0, 0.0, 0, 0.0, 0)
-    live = weighted.nonzero()[0]
-    if not len(live):
-        return out
-    lay = stack.layout if len(live) == len(out) else stack.layout.take(live)
-    X = np.concatenate([np.tile(_initial_vector(n, k, opts), c) for _, _, c, n in lay.runs])
-    XK1, Y = lay.evaluate(X, s)
-    L = len(live)
-    lo, up, newton, steps = [-math.inf] * L, [math.inf] * L, [False] * L, [0] * L
-    watching = (lay.sizes <= NEWTON_MAX_N).tolist()  # may yet switch to Newton steps
+    X = stack.start(opts)
+    live = stack.weighted()  # the open members
+    for b in (~live).nonzero()[0].tolist():
+        out[b] = 0.0, X[stack.starts[b] : stack.starts[b] + stack.sizes[b]].copy(), 0.0, 0.0, 0, 0
+    XK1, Y = stack.evaluate(X, s)
+    lo, up = np.full(len(out), -math.inf), np.full(len(out), math.inf)
+    newton, steps = np.zeros(len(out), dtype=bool), np.zeros(len(out), dtype=int)
+    watching = live & (stack.sizes <= NEWTON_MAX_N)  # may yet switch to Newton steps
     marks = collections.deque(maxlen=_WINDOW + 1)  # the spreads of the last steps
-    for iters in range(1, opts.max_iters + 1):
+    for iters in range(1, opts.max_iters + 1 if _ANY(live) else 1):  # an all-zero stack takes no step
         R = Y / XK1
-        hi, low = _MAXAT(R, lay.starts), _MINAT(R, lay.starts)
-        his, lows = hi.tolist(), low.tolist()
-        lo, up = list(map(max, lo, lows)), list(map(min, up, his))
-        closed = [u - l <= opts.tol * max(1.0, u - s) for l, u in zip(lo, up)]
-        if True in closed:
-            ids = live.tolist()
-            for b in (b for b, c in enumerate(closed) if c):
-                x = X[lay.starts[b] : lay.starts[b] + lay.sizes[b]].copy()
-                out[ids[b]] = _finish(stack, ids[b], x, lo[b], up[b], iters, s, steps[b])
-            if all(closed):
+        hi, low = _MAXAT(R, stack.starts), _MINAT(R, stack.starts)
+        lo, up = np.fmax(lo, low), np.fmin(up, hi)  # as Python's max and min, which skip NaN
+        closed = live & (up - lo <= opts.tol * np.fmax(1.0, up - s))
+        if _ANY(closed):
+            for b in closed.nonzero()[0].tolist():
+                x = X[stack.starts[b] : stack.starts[b] + stack.sizes[b]].copy()
+                out[b] = _finish(stack, b, x, float(lo[b]), float(up[b]), iters, s, int(steps[b]))
+            live, newton, watching = live & ~closed, newton & ~closed, watching & ~closed
+            if not _ANY(live):
                 break
-            going = np.logical_not(closed)
-            rows = np.repeat(going, lay.sizes)
-            X, XK1, Y, R, live, hi = X[rows], XK1[rows], Y[rows], R[rows], live[going], hi[going]
-            keep = going.nonzero()[0].tolist()
-            lo, up, his, lows, newton, steps, watching = (
-                [A[b] for b in keep] for A in (lo, up, his, lows, newton, steps, watching)
-            )
-            marks = collections.deque(([A[b] for b in keep] for A in marks), maxlen=_WINDOW + 1)
-            lay = lay.take(keep)
-        if True in watching:  # a watched member has read its spread at every step
-            marks.append([h - l for h, l in zip(his, lows)])
+        if _ANY(watching):  # a watched member has read its spread at every step
+            marks.append((hi - low).tolist())
             if len(marks) > _WINDOW:
-                for b in (b for b, w in enumerate(watching) if w):
-                    G, target = stack.graphs[live[b]], opts.tol * max(1.0, up[b] - s)
+                for b in watching.nonzero()[0].tolist():
+                    G, target = stack.graphs[b], opts.tol * max(1.0, float(up[b]) - s)
                     if _newton_pays(G.m, G.n, k, marks[0][b], marks[-1][b], target):
                         newton[b], watching[b] = True, False
         power = None
-        if True in newton:
-            took, X, XK1, Y = _newton_step(lay, np.array(newton), X, XK1, Y, R, hi, s)
-            for b, took_it in enumerate(took.tolist()):
-                if took_it:
-                    steps[b] += 1
-                elif newton[b]:
-                    # No theta lowers the upper bound: it sits at its rounding
-                    # floor, where power steps are the cheaper way on.
-                    newton[b] = False
-            if all(newton):
+        if _ANY(newton):
+            # A member that takes no step has met its rounding floor, where
+            # power steps are the cheaper way on, and leaves Newton steps.
+            newton, X, XK1, Y = _newton_step(stack, newton, X, XK1, Y, R, hi, s)
+            steps += newton
+            power = ~newton  # done members ride along
+            if not _ANY(power & live):  # every open member is on Newton steps
                 continue
-            power = np.logical_not(newton)
         if power is None or _ALL(power):
-            X, XK1, Y = _power_step(lay, Y, s)
+            X, XK1, Y = _power_step(stack, Y, s)
         else:
-            rows = np.repeat(power, lay.sizes)
-            PX, PXK1, PY = _power_step(lay, Y.copy(), s)
+            rows = np.repeat(power, stack.sizes)
+            PX, PXK1, PY = _power_step(stack, Y.copy(), s)
             X[rows], XK1[rows], Y[rows] = PX[rows], PXK1[rows], PY[rows]
     else:
-        for b, g in enumerate(live.tolist()):
-            lower, upper = lo[b] - s, up[b] - s
-            out[g] = ConvergenceError(
+        for b in live.nonzero()[0].tolist():
+            lower, upper = float(lo[b]) - s, float(up[b]) - s
+            out[b] = ConvergenceError(
                 f"bracket still {up[b] - lo[b]:.3e} wide after {opts.max_iters} iterations "
                 f"(lower={lower:.17g}, upper={upper:.17g}, iters={opts.max_iters})",
                 lower, upper, opts.max_iters,
             )
 
-    done = np.array([b for b, est in enumerate(out) if isinstance(est, tuple)], dtype=int)
-    if len(done):
-        fin = stack.layout if len(done) == len(out) else stack.layout.take(done)
-        Xf = np.concatenate([out[b][1] for b in done.tolist()])
-        rho = np.array([out[b][0] for b in done.tolist()])
-        XK1, TX = fin.evaluate(Xf, 0.0)  # T x^{k-1} added to 0 x^{[k-1]}, which is 0
-        res = _MAXAT(np.abs(TX - fin.rep(rho) * XK1), fin.starts)
-        for b, r in zip(done.tolist(), res.tolist()):
+    done = [b for b, est in enumerate(out) if isinstance(est, tuple)]
+    if done:
+        rho = np.zeros(len(out))
+        for b in done:
+            rho[b] = out[b][0]
+            X[stack.starts[b] : stack.starts[b] + stack.sizes[b]] = out[b][1]
+        XK1, TX = stack.evaluate(X, 0.0)  # T x^{k-1} added to 0 x^{[k-1]}, which is 0
+        res = _MAXAT(np.abs(TX - stack.rep(rho) * XK1), stack.starts).tolist()
+        for b in done:
             rho, x, lower, upper, iters, newton_steps = out[b]
-            out[b] = SpectralEstimate(rho, x, lower, upper, iters, r, newton_steps)
+            out[b] = SpectralEstimate(rho, x, lower, upper, iters, res[b], newton_steps)
     return out
 
 
@@ -471,28 +453,28 @@ wrappers, which cost more than the work on the short segments of the
 verify suite.  Maxima and minima are exact in any order."""
 
 
-def _power_step(lay, Y, s):
-    """The shifted power step from the image y of each member of ``lay``
+def _power_step(stack, Y, s):
+    """The shifted power step from the image y of each member of ``stack``
     (overwritten): ``x' = y^{[1/(k-1)]}`` made k-unit, with its
     ``x'^{[k-1]}`` and image."""
-    Y /= lay.rep(_MAXAT(Y, lay.starts))
-    X = _k_unit_rows(lay, Y ** (1.0 / (lay.k - 1)))
-    return (X, *lay.evaluate(X, s))
+    Y /= stack.rep(_MAXAT(Y, stack.starts))
+    X = _k_unit_rows(stack, Y ** (1.0 / (stack.k - 1)))
+    return (X, *stack.evaluate(X, s))
 
 
-def _k_unit_rows(lay, X):
+def _k_unit_rows(stack, X):
     """``k_unit`` of each member's vector in X, in place and equal bit for
     bit where its sum of x^k is finite and nonzero, as after a power
     step, whose largest entry is 1.  The sums are row sums over the 2-D
     runs of equal n, pairwise as ``np.sum`` of one vector is
     (``np.add.reduceat`` sums sequentially), and the norms take Python's
     float power, as ``k_unit`` does, not numpy's."""
-    k = lay.k
+    k = stack.k
     P = X**k
-    norms = [t ** (1.0 / k) for a, b, c, n in lay.runs for t in np.add.reduce(P[a:b].reshape(c, n), 1).tolist()]
+    norms = [t ** (1.0 / k) for a, b, c, n in stack.runs for t in np.add.reduce(P[a:b].reshape(c, n), 1).tolist()]
     if 0.0 in norms:
         raise ValueError("cannot normalize the zero vector")
-    X /= lay.rep(norms)
+    X /= stack.rep(norms)
     return X
 
 
@@ -521,13 +503,13 @@ def _ratio_error(max_degree: int, k: int, ratio: float) -> float:
     of the shift, with room to spare.
     """
     j = max_degree + 2 * k + 6
-    u = np.finfo(np.float64).eps / 2.0
+    u = 2.0**-53  # the unit roundoff of float64, a Python float so that brackets stay floats
     return j * u / (1.0 - j * u) * ratio
 
 
-def _bordered_matrices(lay, X, XK1, lam, mask):
+def _bordered_matrices(stack, X, XK1, lam, mask):
     """``[[M - (k-1) lam diag(x^{[k-2]}), -x^{[k-1]}], [1^T, 0]]`` of each
-    member's vector x in X, dense: yields each chunk of ``lay.chunks()``
+    member's vector x in X, dense: yields each chunk of ``stack.chunks()``
     that holds a member of ``mask`` with all of its members' systems
     stacked, one chunk at a time.
 
@@ -537,15 +519,15 @@ def _bordered_matrices(lay, X, XK1, lam, mask):
     pairs of its edges.  Pairs are formed only for the edges from the
     first such chunk to the last.
     """
-    k = lay.k
-    chunks, side, base = lay.chunks()
+    k = stack.k
+    chunks, side, base = stack.chunks()
     taking = mask.tolist()
     chunks = [chunk for chunk in chunks if True in taking[chunk[0] : chunk[1]]]
     start, stop = chunks[0][4].start, chunks[-1][4].stop
-    E = lay.edges[start:stop]
+    E = stack.edges[start:stop]
     i, j = _position_pairs(k)
     Xe = X[E]
-    pairs = (lay.weights[start:stop] * Xe.prod(axis=1))[:, None] / (Xe[:, i] * Xe[:, j])
+    pairs = (stack.weights[start:stop] * Xe.prod(axis=1))[:, None] / (Xe[:, i] * Xe[:, j])
     flat = E[:, i] * side[start:stop] + E[:, j] + base[start:stop]
     for chunk in chunks:
         first, end, n, verts, edges = chunk
@@ -584,7 +566,7 @@ def _solve_stack(M, rhs):
         return out, ok
 
 
-def _newton_step(lay, mask, X, XK1, Y, R, hi, s):
+def _newton_step(stack, mask, X, XK1, Y, R, hi, s):
     """One Newton–Noda step of each member of ``mask`` from its k-unit
     vector x in X, with shifted image its part of Y and Collatz ratios
     its part of R, whose maximum is ``hi[b]``, all such members in lock
@@ -592,19 +574,19 @@ def _newton_step(lay, mask, X, XK1, Y, R, hi, s):
     hi[b] - s), then try ``x + theta dx`` for theta = 1, 1/2, ... until
     it stays positive and strictly lowers that maximum.  Returns the mask
     of members that took a step and the next ``(x, x^{[k-1]}, shifted
-    image)`` of every member of ``lay``, the old one outside ``mask``,
+    image)`` of every member of ``stack``, the old one outside ``mask``,
     where no theta succeeded within ``_HALVINGS`` halvings or where the
     system is singular.
 
-    Each chunk of members of one n (``_Layout.chunks``) that holds a
-    member of ``mask`` is built as one stack, and its members in
+    Each chunk of members of one n (``_Stack.chunks``) that holds a
+    member of ``mask`` is built as one array, and its members in
     ``mask`` are factored as one.  Every trial contracts the whole
-    layout, each member outside ``mask`` or no longer trying at its own
+    stack, each member outside ``mask`` or no longer trying at its own
     x, and keeps the rows of the members trying.
     """
-    gap = (lay.rep(hi) - R) * XK1  # lam x^{[k-1]} - T x^{k-1} >= 0
+    gap = (stack.rep(hi) - R) * XK1  # lam x^{[k-1]} - T x^{k-1} >= 0
     DX, ok, taking = np.zeros(len(X)), mask.copy(), mask.tolist()
-    for (first, end, n, verts, _), M in _bordered_matrices(lay, X, XK1, hi - s, mask):
+    for (first, end, n, verts, _), M in _bordered_matrices(stack, X, XK1, hi - s, mask):
         rhs = np.zeros((end - first, n + 1))
         rhs[:, :n] = gap[verts].reshape(end - first, n)
         if False not in taking[first:end]:
@@ -619,21 +601,21 @@ def _newton_step(lay, mask, X, XK1, Y, R, hi, s):
     theta = 1.0
     for _ in range(_HALVINGS + 1):
         z = X + theta * DX
-        trying = pending & (_MINAT(z, lay.starts) > 0.0)  # also rejects NaN
+        trying = pending & (_MINAT(z, stack.starts) > 0.0)  # also rejects NaN
         if _ANY(trying):
             every = _ALL(trying)
             if not every:
-                z = np.where(np.repeat(trying, lay.sizes), z, X)
-            z = _k_unit_rows(lay, z)
-            zk1, yz = lay.evaluate(z, s)
-            lower = _MAXAT(yz / zk1, lay.starts) < hi
+                z = np.where(np.repeat(trying, stack.sizes), z, X)
+            z = _k_unit_rows(stack, z)
+            zk1, yz = stack.evaluate(z, s)
+            lower = _MAXAT(yz / zk1, stack.starts) < hi
             if every and _ALL(lower):
                 return lower, z, zk1, yz
             accepted = trying & lower
             if _ANY(accepted):
                 if Z is X:
                     Z, ZK1, YZ = X.copy(), XK1.copy(), Y.copy()
-                rows = np.repeat(accepted, lay.sizes)
+                rows = np.repeat(accepted, stack.sizes)
                 Z[rows], ZK1[rows], YZ[rows] = z[rows], zk1[rows], yz[rows]
                 pending &= ~accepted
                 if not _ANY(pending):

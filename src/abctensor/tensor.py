@@ -120,7 +120,9 @@ class TensorOperator:
     def __post_init__(self):
         """Hold the weights as a float64 array of shape (m,), every entry
         finite and >= 0; one min and one max pass, and no copy of a
-        float64 array."""
+        float64 array.  G must be a UniformHypergraph (TypeError)."""
+        if not isinstance(self.G, UniformHypergraph):
+            raise TypeError(f"an operator is built on a UniformHypergraph, not {type(self.G).__name__}")
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.G.m,):
             raise ValueError(f"weights of shape {w.shape} do not match the m={self.G.m} edges")

@@ -48,7 +48,7 @@ from .generators import (
     unicyclic_family,
 )
 from .hypergraph import UniformHypergraph, classify, degrees
-from .spectral import SolveOptions, SpectralEstimate, residual_of, spectral_radii
+from .spectral import SolveOptions, SpectralEstimate, _is_int, residual_of, spectral_radii
 from .spectral import spectral_radius  # noqa: F401  (perfbench/spans.py wraps this binding)
 from .tensor import TensorOperator, Weighting, edge_weights, k_unit
 
@@ -172,10 +172,11 @@ def _power_plan(G: UniformHypergraph, k: int):
     return [(G, Weighting.ABC), (power(G, k), Weighting.ABC)], judge
 
 
-def _randic_unit(name: str, G: UniformHypergraph, est: SpectralEstimate) -> CheckResult:
-    """rho of the randic tensor is 1; x_i = d_i^(1/k) is an exact eigenvector."""
+def _randic_unit(name: str, op: TensorOperator, est: SpectralEstimate) -> CheckResult:
+    """rho of the Randić tensor ``op`` is 1; x_i = d_i^(1/k) is an exact eigenvector."""
+    G = op.G
     x = k_unit(G.degree_array ** (1.0 / G.k), G.k)
-    res = residual_of(TensorOperator.from_weighting(G, Weighting.RANDIC), 1.0, x)
+    res = residual_of(op, 1.0, x)
     claim = _claim(name, est, 1.0, 1.0, False, 1.0, abs(est.rho - 1.0), f"explicit eigenvector residual {res:.3e}")
     return claim if res <= 1e-10 else replace(claim, status=VIOLATED)
 
@@ -188,24 +189,31 @@ _BOUND_JUDGEMENTS = (
     ("randic-unit", _randic_unit, (Weighting.RANDIC,)),
 )
 """Each bound check's name, its judgement, which takes that name, the
-graph and estimates and returns the record, and the weightings of the
-estimates, in the order it takes them."""
+graph (for ``randic-unit``, its Randić operator) and estimates and
+returns the record, and the weightings of the estimates, in the order it
+takes them."""
 
 
 def _bound_plan(G: UniformHypergraph, prefix: str):
     """The plan of the bound checks on G whose names start with
-    ``prefix``: one request per weighting their judgements take."""
+    ``prefix``: one request per weighting their judgements take.  The
+    Randić request is an operator, so its solve starts uniform, not at
+    the eigenvector ``randic-unit`` checks; that judgement reuses it."""
     judgements = [
         (name, judge, ws) for name, judge, ws in _BOUND_JUDGEMENTS
         if name.startswith(prefix) and (name != "delta-bound" or degrees(G).max_degree >= 2)
     ]
-    weightings = list(dict.fromkeys(w for _, _, ws in judgements for w in ws))
+    requests = {
+        w: TensorOperator.from_weighting(G, w) if w is Weighting.RANDIC else (G, w)
+        for _, _, ws in judgements for w in ws
+    }
 
     def judge(ests):
-        by_weighting = dict(zip(weightings, ests))
-        return [j(name, G, *(by_weighting[w] for w in ws)) for name, j, ws in judgements]
+        by_weighting = dict(zip(requests, ests))
+        return [j(name, requests[Weighting.RANDIC] if j is _randic_unit else G, *(by_weighting[w] for w in ws))
+                for name, j, ws in judgements]
 
-    return [(G, w) for w in weightings], judge
+    return list(requests.values()), judge
 
 
 # ----------------------------------------------------------------------
@@ -240,14 +248,6 @@ def _u_compositions(total: int, k: int):
     return out
 
 
-def _composition(G: UniformHypergraph) -> tuple[int, ...]:
-    """The a of G = U_{m,k,g}(a): the degrees of vertices 0..k-1, the
-    first edge of its cycle, less their degrees on the cycle (2 at the
-    joints 0 and k-1, 1 between)."""
-    d = G.degree_list[:G.k]
-    return (d[0] - 2, *(x - 1 for x in d[1:-1]), d[-1] - 2)
-
-
 def _hypertrees(ms, k, g):
     levels = hypertree_classes(max(ms), k)
     return {m: sorted(levels[m - 1].items()) for m in ms}
@@ -256,20 +256,26 @@ def _hypertrees(ms, k, g):
 class _Class(NamedTuple):
     """A class a theorem ranges over: ``members(ms, k, g)`` gives, for
     each m of ``ms``, its (key, graph) pairs in ranking order, and
-    ``key(G)`` the key of a graph of the class."""
+    ``key(target, m, k, g)`` the key of the closed form ``target``'s
+    graph at (m, k, g)."""
 
     members: Callable
     key: Callable
 
 
+def _target_code(target: str, m: int, k: int, g) -> bytes:
+    """The canonical code of the closed form ``target``'s graph at (m, k),
+    looked up per call so that tracing sees it."""
+    return canonical_code(cf.closed_form_graph(target, m=m, k=k))
+
+
 # Hypertrees and unicyclic shapes, one per isomorphism class, are keyed
-# by canonical code, looked up per call so that tracing sees it; the
-# U_{m,k,g}(a), one per composition a of m-g, by a.
-HYPERTREES = _Class(_hypertrees, lambda G: canonical_code(G))
-UNICYCLIC = _Class(lambda ms, k, g: {m: sorted(unicyclic_classes(m, k).items()) for m in ms},
-                   lambda G: canonical_code(G))
+# by canonical code; the U_{m,k,g}(a), one per composition a of m-g, by
+# a, and the target U_{m,k,g}(m-g, 0, ..., 0) by that a, with no build.
+HYPERTREES = _Class(_hypertrees, _target_code)
+UNICYCLIC = _Class(lambda ms, k, g: {m: sorted(unicyclic_classes(m, k).items()) for m in ms}, _target_code)
 U_FAMILY = _Class(lambda ms, k, g: {m: [(a, unicyclic_family(m, k, g, a)) for a in _u_compositions(m - g, k)]
-                                    for m in ms}, _composition)
+                                    for m in ms}, lambda target, m, k, g: (m - g, *(0,) * (k - 1)))
 
 
 def _radii(ranked) -> str:
@@ -343,7 +349,7 @@ def _theorem_plan(rows, ms: list[int], k: int):
     """The checks of ``rows`` at edge size k, at each m of ``ms`` where
     they apply.  Each class is built once for all its m and each of its
     graphs solved once; each row ranks the members that pass its filter
-    and judges the first by the key its class gives the target's graph."""
+    and judges the first by the key its class gives the target."""
     cases = [(m, row) for m in ms for row in rows if row.applies(m, k)]
     wanted: dict = {}
     for m, row in cases:
@@ -360,7 +366,7 @@ def _theorem_plan(rows, ms: list[int], k: int):
             at = (m, row.cls, row.g)
             graph = members[at]
             kept = [(e, key) for e, key in ranked[at] if row.keep is None or row.keep(graph[key])]
-            target = row.cls.key(cf.closed_form_graph(row.target, m=m, k=k))
+            target = row.cls.key(row.target, m, k, row.g)
             closed = cf.closed_form(row.target, m=m, k=k)
             results.append(_leader(row.name(m, k), kept, lambda key: key == target, closed,
                                    row.detail(kept), row.floor))
@@ -432,8 +438,13 @@ def default_suite(
     ``spectral_radii`` call before any judgement; nothing is kept between
     calls.  Only the groups of checks whose names can start with
     ``prefix`` are run, and only the checks whose names do are returned,
-    so the result equals the full suite filtered by that prefix.
+    so the result equals the full suite filtered by that prefix.  An m, k
+    or g that is not an integer (a bool is not) raises ValueError naming
+    it before any graph is built.
     """
+    for name, value in (("m", m), ("k", k), ("g", g)):
+        if value is not None and not _is_int(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
     if m is not None and m < 1:
         raise ValueError(f"m must be >= 1, not {m}")
     if k is not None and k < 2:

@@ -184,12 +184,14 @@ def estimate_fields(est) -> tuple:
             x.dtype, x.shape, x.tobytes())
 
 
-def solve_by_single_loop(op, opts):
+def solve_by_single_loop(op, opts, weighting=None):
     """The solver as one loop over one operator, with 1-D arrays: power
     steps, the switch rule, Newton–Noda steps with theta halvings and the
     final bracket, written out step by step as ``spectral`` documents them.
-    Returns ``(rho, lower, upper, iters, newton_steps, residual, x)``;
-    raises ``ConvergenceError`` as ``spectral_radius`` does."""
+    ``weighting`` names the rule of ``op``'s weights when it was solved as
+    a (hypergraph, weighting) pair.  Returns ``(rho, lower, upper, iters,
+    newton_steps, residual, x)``; raises ``ConvergenceError`` as
+    ``spectral_radius`` does."""
     import collections
 
     from abctensor import spectral as sp
@@ -197,6 +199,8 @@ def solve_by_single_loop(op, opts):
 
     n, k, s = op.n, op.k, opts.shift
     x = sp._initial_vector(n, k, opts)
+    if weighting is Weighting.RANDIC and opts.seed is None:
+        x = k_unit(op.G.degree_array ** (1.0 / k), k)  # the exact eigenvector, rho = 1
     if op.is_zero():
         return 0.0, 0.0, 0.0, 0, 0, 0.0, x
 

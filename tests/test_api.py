@@ -124,8 +124,9 @@ def test_a_weighting_value_acts_as_its_member_bit_for_bit(G, w, bad, seed):
 
 DOCUMENTED = (ValueError, TypeError, IndexError, ConvergenceError)
 """What the entry points raise: ValueError (with NotConnectedError) for
-a bad value, TypeError for a missing or extra weighting, IndexError for
-an edge out of range, ConvergenceError for a solve that does not close."""
+a bad value, TypeError for a missing or extra weighting or an operator
+on something other than a hypergraph, IndexError for an edge out of
+range, ConvergenceError for a solve that does not close."""
 
 WEIGHTING_ARGS = [*Weighting, *sorted(VALUES), None, *BAD_WEIGHTINGS]
 SCALES = [0.0, -0.0, 0.5, 3.0, 1e300, -1.0, -1e-300, math.nan, math.inf, -math.inf]
@@ -294,7 +295,10 @@ def _fuzz_solves(data, G):
                 return _assert_raised(op, ValueError, "scale factor must be finite and >= 0")
         else:
             weights = data.draw(operator_weights(G.m))
-            op = _outcome(TensorOperator, G, weights)
+            owner = data.draw(st.sampled_from([G, G, G, G, "uhg", None, G.edges, G.edge_array]))
+            op = _outcome(TensorOperator, owner, weights)
+            if owner is not G:
+                return _assert_raised(op, TypeError, f"UniformHypergraph, not {type(owner).__name__}")
             given = np.array(weights, dtype=np.float64)
             if given.shape != (G.m,):
                 return _assert_raised(op, ValueError, f"do not match the m={G.m} edges")

@@ -223,7 +223,7 @@ def test_floats_serialized_17_digits(capsys):
     ("closed-form complete-bound --n 2000 --k 1000", "does not fit a float"),
     ("rho --family hyperstar --m 3 --k 3 --max-iters 0", "max_iters must be at least 1"),
     # n = 4201 is above spectral.NEWTON_MAX_N, so only power steps run.
-    ("rho --family hyperpath --m 2100 --k 3 --weighting randic --max-iters 100", "iters=100"),
+    ("rho --family hyperpath --m 2100 --k 3 --max-iters 100", "iters=100"),
     ("gen", "gen needs --family"),
     (f"gen --family hyperstar --m {HUGE} --k 3", "exceeds the cap"),
     (f"gen --family hyperpath --m {HUGE} --k 3", "exceeds the cap"),
@@ -383,18 +383,22 @@ def test_fuzzed_command_lines_end_in_an_exit_code_and_a_record(argv):
 def test_verify_prefix_runs_only_the_matching_checks(capsys, monkeypatch):
     from abctensor import verify as ver
     from abctensor.spectral import SolveOptions
-    from abctensor.tensor import Weighting
+    import numpy as np
+
+    from abctensor.tensor import TensorOperator, Weighting, edge_weights
 
     _, full, _ = run(capsys, "verify", "all", "--json")
     want = [line for line in full.splitlines() if '"name": "randic-unit"' in line]
-    weightings = []
+    requests = []
     real = ver.spectral_radii
 
     def recording(problems, opts=SolveOptions()):
-        weightings.extend(w for _, w in problems)
+        requests.extend(problems)
         return real(problems, opts)
 
     monkeypatch.setattr(ver, "spectral_radii", recording)
     code, out, _ = run(capsys, "verify", "randic-unit", "--json")
     assert code == 0 and want and out.splitlines() == want
-    assert len(weightings) == len(want) and set(weightings) == {Weighting.RANDIC}
+    # Each request is the graph's Randic operator, which starts uniform.
+    assert len(requests) == len(want) and all(isinstance(op, TensorOperator) for op in requests)
+    assert all(np.array_equal(op.weights, edge_weights(op.G, Weighting.RANDIC)) for op in requests)

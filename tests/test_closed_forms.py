@@ -42,25 +42,6 @@ def test_linear_unicyclic_cubic_at_m3_factors():
     assert a3 == pytest.approx(math.sqrt(2), abs=1e-10)
 
 
-def test_adjacency_cubic_root_bracket():
-    # The (m-3, m-2) localization only kicks in at m >= 8 (the value at
-    # m-2 is m^2-10m+20, negative for m = 6, 7); at small m the root
-    # lands just above m-2.  The root itself is oracle-checked below.
-    for m in (8, 9, 10, 12):
-        r = cf.largest_real_root(cf.adjacency_s421_poly(m))
-        assert m - 3 < r < m - 2
-    for m in (6, 7):
-        r = cf.largest_real_root(cf.adjacency_s421_poly(m))
-        assert m - 2 < r < m - 1.5
-
-
-def test_adjacency_cubic_matches_oracle():
-    for m in (6, 7, 9):
-        G = gen.s_composition(m, 3, (m - 4, 2, 1))
-        got = spectral_radius(G, ADJ).rho ** 3
-        assert got == pytest.approx(cf.largest_real_root(cf.adjacency_s421_poly(m)), abs=1e-7)
-
-
 def test_eta_coefficients_at_m4():
     assert cf.eta_poly(4).coeffs == pytest.approx((-0.125, 0.75, -1.875, 1.0))
 
@@ -191,7 +172,6 @@ NAMED_POLYNOMIALS = (
     (lambda m: cf.t_poly(m, 3), 5),
     (lambda m: cf.t_poly(m, 4), 5),
     (cf.quartic_s4_poly, 5),
-    (cf.adjacency_s421_poly, 6),
 )
 
 

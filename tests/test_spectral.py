@@ -62,7 +62,7 @@ def test_zero_weight_edges_that_cut_the_operator_raise_before_any_step(monkeypat
     # two pendant vertices it alone reaches, leaves the operator reducible.
     G, H = gen.hyperpath(4, 3), build(3, 6, [[0, 1, 2], [3, 4, 5]])
     steps = []
-    monkeypatch.setattr(spectral._Layout, "evaluate", lambda *a: steps.append(a))
+    monkeypatch.setattr(spectral._Stack, "evaluate", lambda *a: steps.append(a))
     for weights in ([1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]):
         op = TensorOperator(G, weights)
         with pytest.raises(NotConnectedError, match="^hypergraph is not connected by its nonzero-weight edges$"):
@@ -200,6 +200,8 @@ def test_bipartite_adjacency_needs_shift_and_converges():
 ], ids=["hyperpath-abc", "hyperpath-randic", "random-hypertree-abc"])
 def test_slow_power_inputs_solve_with_default_options(G, w, known, monkeypatch):
     # Power steps alone end in ConvergenceError after 200,000 iterations.
+    # An operator starts uniform, where a Randic pair would start at its
+    # exact eigenvector.
     newton_step = spectral._newton_step
     uppers = []
 
@@ -210,7 +212,7 @@ def test_slow_power_inputs_solve_with_default_options(G, w, known, monkeypatch):
         return took, Z, ZK1, YZ
 
     monkeypatch.setattr(spectral, "_newton_step", recorded)
-    est = spectral_radius(G, w)
+    est = spectral_radius(TensorOperator.from_weighting(G, w))
     assert est.newton_steps == len(uppers) > 0
     assert all(after < before for before, after in uppers)  # each step lowers the upper bound
     assert est.upper - est.lower <= 1e-10 * max(1.0, est.upper)
@@ -224,7 +226,7 @@ def test_slow_power_inputs_solve_with_default_options(G, w, known, monkeypatch):
     (gen.random_hypertree(400, 3, 3), RND, 1000),  # 21,032 power steps alone
 ], ids=["verify-scale", "n801"])
 def test_trees_take_newton_steps(G, w, most):
-    est = spectral_radius(G, w)
+    est = spectral_radius(TensorOperator.from_weighting(G, w))  # the uniform start, also under Randic
     assert est.newton_steps > 0 and est.iters <= most
 
 
@@ -235,8 +237,8 @@ def test_fast_inputs_stay_on_power_steps():
 
 def _bordered_matrix(op, x, xk1, lam):
     """The bordered Newton matrix of one operator at x."""
-    sub = _Stack([(op.G, op.weights)]).layout
-    ((_, M),) = _bordered_matrices(sub, x, xk1, np.array([lam]), np.array([True]))
+    stack = _Stack([(op.G, op.weights)])
+    ((_, M),) = _bordered_matrices(stack, x, xk1, np.array([lam]), np.array([True]))
     return M[0]
 
 

@@ -17,7 +17,6 @@ from abctensor.spectral import (
     ConvergenceError,
     NotConnectedError,
     SolveOptions,
-    _Stack,
     _solve_stack,
     spectral_radii,
     spectral_radius,
@@ -35,11 +34,12 @@ SINGLE_EDGE = build(3, 3, [[0, 1, 2]])  # every abc weight is zero
 
 def _assert_batch_equals_singles(problems, opts):
     """Each batch estimate equals the lone solve field for field; when
-    lone solves fail, the batch raises the first failure in input order."""
+    lone solves fail, the batch raises the first failure in input order.
+    A problem is a (hypergraph, weighting) pair or an operator."""
     singles = []
-    for G, w in problems:
+    for p in problems:
         try:
-            singles.append(spectral_radius(G, w, opts))
+            singles.append(spectral_radius(*p, opts) if isinstance(p, tuple) else spectral_radius(p, opts=opts))
         except ConvergenceError as exc:
             singles.append(exc)
     failed = [i for i, s in enumerate(singles) if isinstance(s, ConvergenceError)]
@@ -122,8 +122,10 @@ def test_disconnected_member_raises_before_any_step(monkeypatch):
 
 
 def test_first_member_out_of_max_iters_is_named_with_its_bracket():
-    # hyperstar(5, 3) closes its bracket in 7 steps, the paths need 9 and 11.
-    problems = [(gen.hyperstar(5, 3), RND), (gen.hyperpath(40, 3), RND), (gen.hyperpath(30, 3), ABC)]
+    # hyperstar(5, 3) closes its bracket in 7 steps, the paths need 9 and
+    # 11.  The Randic operators start uniform, not at their eigenvectors.
+    problems = [TensorOperator.from_weighting(gen.hyperstar(5, 3), RND),
+                TensorOperator.from_weighting(gen.hyperpath(40, 3), RND), (gen.hyperpath(30, 3), ABC)]
     failed = _assert_batch_equals_singles(problems, SolveOptions(max_iters=8))
     assert failed == [1, 2]
 
@@ -223,21 +225,32 @@ def test_a_batch_of_one_contracts_one_edge_array_through_one_workspace(monkeypat
     assert np.array_equal(edges[0], op.G.edge_array)
 
 
-def test_a_taken_layout_equals_the_layout_of_its_members_alone():
-    # Mixed weightings, given arrays among them, and runs of equal n.
-    graphs = [gen.hyperpath(2, 3), gen.hyperstar(2, 3), gen.hyperpath(4, 3), gen.random_hypertree(4, 3, 1),
-              gen.hyperstar(4, 3), gen.random_hypertree(6, 3, 2), gen.unicyclic_family(6, 3, 3, (2, 1, 0))]
-    problems = [(G, w) for G, w in zip(graphs, [ABC, ADJ, RND, ABC, ABC, RND, ADJ])]
-    problems[3] = (graphs[3], TensorOperator.from_weighting(graphs[3], RND).weights)
-    problems.sort(key=lambda p: p[0].n)
-    stack = _Stack(problems)
-    for members in ([0], [6], [1, 2], [0, 2, 3, 5], [2, 3, 4, 5, 6], list(range(7))):
-        taken = stack.layout.take(np.array(members))
-        alone = _Stack([problems[b] for b in members]).layout
-        for name in ("sizes", "starts", "edges", "weights", "owner"):
-            A, B = getattr(taken, name), getattr(alone, name)
-            assert A.dtype == B.dtype and np.array_equal(A, B), name
-        assert (taken.cut, taken.runs) == (alone.cut, alone.runs)
+def test_done_members_ride_along_and_never_take_a_newton_step(monkeypatch):
+    # An all-zero operator is done before the first step, the Randic
+    # pairs close at step 1 from their exact eigenvectors, and the paths
+    # go on to Newton steps with those done members in the stack.
+    newton_step, finish = spectral._newton_step, spectral._finish
+    done, masks = set(), []
+
+    def finished(stack, b, *args):
+        done.add(b)
+        return finish(stack, b, *args)
+
+    def recorded(stack, mask, *args):
+        masks.append((mask.copy(), set(done) | set((~stack.weighted()).nonzero()[0].tolist())))
+        return newton_step(stack, mask, *args)
+
+    problems = [(gen.hyperpath(60, 3), ABC), (gen.random_hypertree(30, 3, 1), RND),
+                TensorOperator(gen.hyperpath(4, 3), np.zeros(4)), (gen.hyperstar(5, 3), RND),
+                (gen.hyperpath(40, 3), ADJ), (gen.random_hypertree(60, 3, 2), RND)]
+    monkeypatch.setattr(spectral, "_newton_step", recorded)
+    monkeypatch.setattr(spectral, "_finish", finished)
+    batch = spectral_radii(problems)
+    assert [e.iters for e in batch[1::2]] == [1, 1, 1] and batch[2].iters == 0
+    assert masks and all(not mask[list(gone)].any() for mask, gone in masks)
+    assert all(len(gone) >= 4 for _, gone in masks)  # the zero and Randic members ride along
+    monkeypatch.undo()
+    _assert_batch_equals_singles(problems, SolveOptions())
 
 
 def test_no_solved_stack_is_reachable_when_the_next_solve_starts(monkeypatch):
@@ -261,7 +274,7 @@ def _assert_batch_equals_single_loops(problems, opts):
     for G, w in problems:
         try:
             rho, lower, upper, iters, newton_steps, residual, x = solve_by_single_loop(
-                TensorOperator.from_weighting(G, w), opts)
+                TensorOperator.from_weighting(G, w), opts, w)
             singles.append((rho, lower, upper, iters, newton_steps, residual, x.dtype, x.shape, x.tobytes()))
         except ConvergenceError as exc:
             singles.append(exc)
@@ -339,17 +352,25 @@ def test_the_default_suite_steps_one_stack_per_k_in_few_kernel_calls(monkeypatch
     assert len(calls) == 120
 
 
-def test_the_default_suite_takes_a_layout_only_when_members_leave(monkeypatch):
-    # The three stack layouts and one for each of the 18 closes that
-    # leave members live.  A layout per member set taking a step made 44
-    # a pass.
-    layouts = []
-    init = spectral._Layout.__init__
+def test_the_default_suite_lays_out_each_stack_once(monkeypatch):
+    # Members keep their rows for the whole solve, so every kernel call of
+    # a solve (one with a workspace; ``residual_of`` has none) contracts
+    # the edge array of one of the three stacks.  A layout taken at each
+    # close made 21 a pass, and one per member set taking a step 44.
+    init, contract = spectral._Stack.__init__, spectral._kernels.contract
+    layouts, arrays = [], []
 
-    def counted(self, k, sizes, *args):
-        layouts.append(len(sizes))
-        init(self, k, sizes, *args)
+    def laid_out(self, problems):
+        init(self, problems)
+        layouts.append(self.edges)
 
-    monkeypatch.setattr(spectral._Layout, "__init__", counted)
+    def counted(edges, *args, **kw):
+        if kw.get("work") is not None and not any(edges is E for E in arrays):
+            arrays.append(edges)
+        contract(edges, *args, **kw)
+
+    monkeypatch.setattr(spectral._Stack, "__init__", laid_out)
+    monkeypatch.setattr(spectral._kernels, "contract", counted)
     assert all(r.ok for r in verify.default_suite())
-    assert len(layouts) == 21
+    assert len(layouts) == 3 and len(arrays) == 3
+    assert all(any(E is L for L in layouts) for E in arrays)

@@ -302,8 +302,8 @@ def test_a_reused_workspace_contracts_as_the_edge_by_edge_loop(k):
            for seed, w in zip(range(3), Weighting)]
     op, n = ops[0], ops[0].n
     work = _kernels.Workspace(op.G.edge_array)
-    sub = _Stack([(member.G, member.weights) for member in ops]).layout
-    E, W, stack_work = sub.edges, sub.weights, sub.work
+    stack = _Stack([(member.G, member.weights) for member in ops])
+    E, W, stack_work = stack.edges, stack.weights, stack.work
     rng = np.random.default_rng(k)
     for _ in range(4):
         X = rng.uniform(0.05, 2.0, size=(3, n))

@@ -1,6 +1,7 @@
 """Bound checks, equality detection, the theorem table, and the worked examples."""
 
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,9 +12,10 @@ from abctensor import build
 from abctensor import closed_forms as cf
 from abctensor import generators as gen
 from abctensor import verify as ver
+from abctensor.canon import canonical_code
 from abctensor.closed_forms import rho_abc_hyperpath, rho_abc_u2, rho_abc_u3
 from abctensor.spectral import SpectralEstimate
-from abctensor.tensor import abc_index
+from abctensor.tensor import TensorOperator, abc_index
 from abctensor.verify import EQUALITY, HOLDS
 from helpers import count_calls
 
@@ -142,6 +144,24 @@ def test_randic_unit():
         assert r.lhs == pytest.approx(1.0, abs=1e-8)
 
 
+def test_randic_unit_solves_from_the_uniform_start(monkeypatch):
+    # Its requests are operators: a Randic pair would start at the exact
+    # eigenvector d^(1/k) whose residual the check then reads.
+    from abctensor import spectral
+
+    start, starts = spectral._Stack.start, []
+
+    def recorded(stack, opts):
+        X = start(stack, opts)
+        starts.append((stack.sizes.tolist(), stack.k, X))
+        return X
+
+    monkeypatch.setattr(spectral._Stack, "start", recorded)
+    assert len(ver.default_suite(prefix="randic-unit")) == 60 and len(starts) == 3
+    for sizes, k, X in starts:
+        assert np.array_equal(X, np.concatenate([np.full(n, n ** (-1.0 / k)) for n in sizes]))
+
+
 def test_hypertree_scan_small():
     results = ver.default_suite(m=4, k=3, prefix="hypertree-scan-")
     assert all(r.ok for r in results)
@@ -234,14 +254,16 @@ def test_check_theorem_rejects_a_row_it_does_not_have():
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_each_theorem_target_is_a_member_of_its_class_and_passes_its_filter(k):
-    # At the smallest m where each row applies: the key its class gives
-    # the target's graph is a member's key, and the graph passes the filter.
+    # At the two smallest m where each row applies: the key its class
+    # gives the target is a member's key, that member is the target's
+    # graph up to isomorphism, and the graph passes the filter.
     for row in ver.THEOREMS:
-        m = next(m for m in range(1, 10) if row.applies(m, k))
-        members = dict(row.cls.members([m], k, row.g)[m])
-        target = cf.closed_form_graph(row.target, m=m, k=k)
-        assert row.cls.key(target) in members, row.name(m, k)
-        assert row.keep is None or row.keep(target), row.name(m, k)
+        for m in [m for m in range(1, 10) if row.applies(m, k)][:2]:
+            members = dict(row.cls.members([m], k, row.g)[m])
+            target = cf.closed_form_graph(row.target, m=m, k=k)
+            key = row.cls.key(row.target, m, k, row.g)
+            assert key in members and canonical_code(members[key]) == canonical_code(target), row.name(m, k)
+            assert row.keep is None or row.keep(target), row.name(m, k)
 
 
 def test_interval_comparison_never_bare_floats():
@@ -289,17 +311,22 @@ def test_a_bracket_is_widened_by_slack_once(monkeypatch, case):
 
         def made_up(problems, opts=None):
             assert len(problems) == len(requests)
-            return [SpectralEstimate((lo + hi) / 2, np.ones(G.n), lo, hi, 1, 0.0, 0)
-                    for (G, _), (lo, hi) in zip(problems, requests)]
+            return [SpectralEstimate((lo + hi) / 2, np.ones(_graph(p).n), lo, hi, 1, 0.0, 0)
+                    for p, (lo, hi) in zip(problems, requests)]
 
         monkeypatch.setattr(ver, "spectral_radii", made_up)
         (r,) = run()
         assert (r.status == ver.VIOLATED) is violated, (outside, r)
 
 
+def _graph(request):
+    """The hypergraph of a request: a (hypergraph, weighting) pair, or an operator."""
+    return request.G if isinstance(request, TensorOperator) else request[0]
+
+
 def _count_solves(monkeypatch) -> tuple[list, list]:
-    """Patch the suite's solver to record the weighting of every member
-    it is passed, and the number of members of every call."""
+    """Patch the suite's solver to record the weighting of every pair it
+    is passed, or the operator, and the number of members of every call."""
     from abctensor.spectral import SolveOptions
 
     weightings, calls = [], []
@@ -307,7 +334,7 @@ def _count_solves(monkeypatch) -> tuple[list, list]:
 
     def recording(problems, opts=SolveOptions()):
         calls.append(len(problems))
-        weightings.extend(w for _, w in problems)
+        weightings.extend(p if isinstance(p, TensorOperator) else p[1] for p in problems)
         return real(problems, opts)
 
     monkeypatch.setattr(ver, "spectral_radii", recording)
@@ -329,16 +356,18 @@ def test_two_suite_calls_make_the_same_solves(monkeypatch):
 
 def test_a_suite_pass_does_its_structure_work_once(monkeypatch):
     # One hypertree growth per edge size, one build per pendant family
-    # member and one build and key per leader's target: 252 builds, 99
-    # codes and 80 attachments when written.  Growing each m again, or building a
-    # member twice, breaks these caps.
+    # member, one build and code per hypertree leader's target, and no
+    # build for a unicyclic-scan target, which is keyed by its
+    # composition: 232 builds, 99 codes and 80 attachments.  Growing
+    # each m again, building a member twice, or building a target only to
+    # key it breaks these caps.
     from abctensor import canon, hypergraph
 
     builds = count_calls(monkeypatch, hypergraph, "build")
     codes = count_calls(monkeypatch, canon, "canonical_code")
     attachments = count_calls(monkeypatch, gen, "attach_pendant_edge")
     assert len(ver.default_suite()) == 345
-    assert builds[0] <= 330 and codes[0] <= 100 and attachments[0] <= 80
+    assert builds[0] <= 232 and codes[0] <= 99 and attachments[0] <= 80
 
 
 def test_suite_rejects_g_before_any_solve(monkeypatch):
@@ -351,11 +380,21 @@ def test_suite_rejects_g_before_any_solve(monkeypatch):
 
 def test_suite_names_a_bad_m_or_k_before_any_solve(monkeypatch):
     weightings, calls = _count_solves(monkeypatch)
+    builds = count_calls(monkeypatch, gen, "hyperstar")
     for m, k, message in ((0, None, "m must be >= 1, not 0"), (-2, 3, "m must be >= 1, not -2"),
                           (None, 1, "k must be >= 2, not 1"), (3, 0, "k must be >= 2, not 0")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ver.default_suite(m=m, k=k)
-    assert weightings == [] and calls == []
+    # Not an integer, a bool included, as SolveOptions has it.
+    for kwargs, message in (({"m": 2.5, "k": 3}, "m must be an integer, not 2.5"),
+                            ({"m": 4, "k": 3.0}, "k must be an integer, not 3.0"),
+                            ({"m": True}, "m must be an integer, not True"),
+                            ({"k": "3"}, "k must be an integer, not '3'"),
+                            ({"m": 3, "k": 3, "g": 2.0}, "g must be an integer, not 2.0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ver.default_suite(**kwargs)
+    assert weightings == [] and calls == [] and builds[0] == 0
+    assert len(ver.default_suite(m=np.int64(3), k=np.int64(3), prefix="randic-unit")) == 5
 
 
 @pytest.mark.parametrize("m, k", [(5, 3), (4, 4)])
@@ -365,7 +404,8 @@ def test_gathered_suite_equals_one_solve_at_a_time(monkeypatch, m, k):
     gathered = ver.default_suite(m=m, k=k)
 
     def one_at_a_time(problems, opts=SolveOptions()):
-        return [spectral_radius(G, w, opts) for G, w in problems]
+        return [spectral_radius(*p, opts) if isinstance(p, tuple) else spectral_radius(p, opts=opts)
+                for p in problems]
 
     monkeypatch.setattr(ver, "spectral_radii", one_at_a_time)
     assert ver.default_suite(m=m, k=k) == gathered
