@@ -7,8 +7,9 @@ Both kinds take one linear-time path through the vertex-edge incidence
 graph.  ``hypergraph.peel`` peels its leaves layer by layer; here every
 peeled node is ranked by the sorted ranks of its children (Aho, Hopcroft
 and Ullman, 1974).  A hypertree peels completely and is rooted at its
-center.  A unicyclic hypergraph peels down to its one cycle, whose nodes
-are ranked as one more layer; the walk round it is the least rotation,
+center.  A unicyclic hypergraph peels down to its one cycle, which
+``peel`` walks once and whose nodes are ranked as one more layer; the
+walk round it is the least rotation,
 in either direction, of its (vertex rank, next-edge rank) pairs (Duval,
 J. Algorithms 4, 1983).  A preorder walk in rank order from the root or
 from the cycle nodes numbers the vertices.  Any other hypergraph raises
@@ -81,26 +82,6 @@ def _least_walks(ring: list[int], rank: list[int]) -> list[tuple[list, list[int]
     return walks
 
 
-def _ring(G: UniformHypergraph, core: list[int]) -> list[int]:
-    """The core's nodes in one walk round it from core[0], a vertex node
-    since vertex ids come first, or [] when some core node has other
-    than two neighbours in the core."""
-    n = G.n
-    in_core = set(core)
-    nbrs = {}
-    for v in core:
-        adj = [n + i for i in G.vertex_edges[v]] if v < n else G.edges[v - n]
-        nbrs[v] = [u for u in adj if u in in_core]
-        if len(nbrs[v]) != 2:
-            return []
-    ring: list[int] = []
-    prev, v = -1, core[0]
-    while not ring or v != core[0]:
-        ring.append(v)
-        prev, v = v, next(u for u in nbrs[v] if u != prev)
-    return ring
-
-
 def _ranks(G: UniformHypergraph) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
     """(layers, children, ring, rank) of a hypertree or a unicyclic
     hypergraph: ``peel``'s layers, with the cycle's walk appended as one
@@ -110,14 +91,13 @@ def _ranks(G: UniformHypergraph) -> tuple[list[list[int]], list[list[int]], list
     ``peel`` takes every node iff the incidence graph is a forest, which
     with n - 1 = m(k - 1) means G is a hypertree; the last node peeled
     is the center, unique because every leaf is a vertex node.
-    Otherwise G is unicyclic iff n = m(k - 1) and the core is one cycle:
-    every core node has two neighbours in the core, and one walk covers
-    them.  A node's layer is its height above the root or the cycle.
+    Otherwise G is unicyclic iff n = m(k - 1) and the core is one cycle,
+    which ``peel``'s ring then covers.  A node's layer is its height
+    above the root or the cycle.
     """
     n, m, k = G.n, G.m, G.k
-    layers, children, core = peel(G)
-    ring = _ring(G, core) if core and n == m * (k - 1) else []
-    if len(ring) != len(core) or (not core and n - 1 != m * (k - 1)):
+    layers, children, core, ring = peel(G)
+    if len(ring) != len(core) or n - (not core) != m * (k - 1):
         raise ValueError("canonical codes cover hypertrees and unicyclic hypergraphs only")
     if ring:
         layers.append(ring)

@@ -12,6 +12,7 @@ count), and a reader that closes stdout early.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -162,10 +163,12 @@ def make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a named family as UHG v1 text")
+    p.set_defaults(handler=cmd_gen)
     _add_family_flags(p, with_file=False)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("rho", help="spectral radius of a weighted tensor")
+    p.set_defaults(handler=cmd_rho)
     _add_family_flags(p)
     p.add_argument("--weighting", choices=sorted(WEIGHTINGS), default="abc")
     p.add_argument("--tol", type=float, default=1e-10)
@@ -176,14 +179,17 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("index", help="abc index of a hypergraph")
+    p.set_defaults(handler=cmd_index)
     _add_family_flags(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify", help="structural classification")
+    p.set_defaults(handler=cmd_classify)
     _add_family_flags(p)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("closed-form", help="evaluate a named closed form")
+    p.set_defaults(handler=cmd_closed_form)
     # Set after add_argument, which would print the choices to test them.
     p.add_argument("name").choices = _ClosedFormNames()
     for key in CLOSED_FORM_FLAGS:
@@ -193,6 +199,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run the numeric verification suite")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("target", help="'all' or a check name prefix")
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
@@ -250,19 +257,7 @@ def cmd_index(args) -> int:
 
 def cmd_classify(args) -> int:
     G = load_graph(args)
-    rep = classify(G)
-    record = {
-        "connected": rep.connected,
-        "kind": rep.kind,
-        "linear": rep.linear,
-        "girth": rep.girth,
-        "girth_status": rep.girth_status,
-        "power_hypertree": rep.power_hypertree,
-        "n": G.n,
-        "m": G.m,
-        "k": G.k,
-    }
-    _emit(record, args.json)
+    _emit({**dataclasses.asdict(classify(G)), "n": G.n, "m": G.m, "k": G.k}, args.json)
     return 0
 
 
@@ -307,17 +302,9 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    handlers = {
-        "gen": cmd_gen,
-        "rho": cmd_rho,
-        "index": cmd_index,
-        "classify": cmd_classify,
-        "closed-form": cmd_closed_form,
-        "verify": cmd_verify,
-    }
     try:
         args = make_parser().parse_args(argv)
-        code = handlers[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

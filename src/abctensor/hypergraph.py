@@ -78,15 +78,6 @@ class UniformHypergraph:
         """``is_connected(self)``, computed once per hypergraph."""
         return is_connected(self)
 
-    @functools.cached_property
-    def vertex_edges(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the indices of its incident edges."""
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            for v in e:
-                inc[v].append(i)
-        return tuple(tuple(ei) for ei in inc)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniformHypergraph):
             return NotImplemented
@@ -263,20 +254,27 @@ def is_linear(G: UniformHypergraph) -> bool:
     return not _shares_a_pair(G)
 
 
-def peel(G: UniformHypergraph) -> tuple[list[list[int]], list[list[int]], list[int]]:
+def peel(G: UniformHypergraph) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
     """Leaf peeling of the vertex-edge incidence graph, in linear time.
 
-    Node v < n is vertex v and node n + i is edge i.  The first layer is
-    every vertex with at most one neighbour; each later layer is every
-    node left with one unpeeled neighbour once the layer before it is
-    peeled.  That neighbour is the node's parent, and it lists the node
-    among its children in peeling order.  Returns (layers, children,
-    core): the layers in peeling order, each node's children, and the
-    nodes never peeled, ascending.  The core is the 2-core of the
-    incidence graph, so it is empty iff the incidence graph is a forest.
+    Node v < n is vertex v, listing its edges ascending, and node n + i
+    is edge i.  The first layer is every vertex with at most one
+    neighbour; each later layer is every node left with one unpeeled
+    neighbour once the layer before it is peeled.  That neighbour is the
+    node's parent, and it lists the node among its children in peeling
+    order.  Returns (layers, children, core, ring): the layers in peeling
+    order, each node's children, the nodes never peeled, ascending, and
+    one walk round the core from core[0], each step to the first unpeeled
+    neighbour but the node before, or [] unless every core node has two.
+    The core is the 2-core of the incidence graph, so it is empty iff the
+    incidence graph is a forest, and the ring covers it iff it is one cycle.
     """
     n, m = G.n, G.m
-    adj = [[n + i for i in ei] for ei in G.vertex_edges] + [list(e) for e in G.edges]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(G.edges, n):
+        for v in e:
+            adj[v].append(i)
+    adj += map(list, G.edges)
     left = [len(a) for a in adj]
     peeled = [False] * (n + m)
     children: list[list[int]] = [[] for _ in range(n + m)]
@@ -295,7 +293,14 @@ def peel(G: UniformHypergraph) -> tuple[list[list[int]], list[list[int]], list[i
                     if left[u] == 1:
                         nxt.append(u)
         layer = nxt
-    return layers, children, [v for v in range(n + m) if not peeled[v]]
+    core = [v for v in range(n + m) if not peeled[v]]
+    ring: list[int] = []
+    if core and all(left[v] == 2 for v in core):
+        prev, v = -1, core[0]
+        while not ring or v != core[0]:
+            ring.append(v)
+            prev, v = v, next(u for u in adj[v] if not peeled[u] and u != prev)
+    return layers, children, core, ring
 
 
 def classify(G: UniformHypergraph) -> StructureReport:

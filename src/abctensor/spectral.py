@@ -28,13 +28,14 @@ members of a stack take every step in lock step.  Each member keeps its
 own bracket, switch rule and kind of step.  A stack lays its members out
 once, end to end and sorted by n, member b's vertex v as start[b] + v,
 on one edge array of their own, and keeps those rows for the whole
-solve: each step contracts all of it in one kernel call and keeps the
-rows of the members taking that step, and each Newton step factors the
-bordered systems of each run of equal n in one stacked solve.  A member is done
-when its own bracket closes, or at once when its weights are all zero;
-it is never watched or given a Newton step again and rides along on the
-power steps of the others, so every estimate equals a solve of that
-operator alone, bit for bit.
+solve: each step contracts, in one kernel call, the edges from the first
+open member to the last and keeps the rows of the members taking that
+step, and each Newton step factors the bordered systems of each run of
+equal n in one stacked solve.  A member is done when its own bracket
+closes, or at once when its weights are all zero; it is never watched or
+given a Newton step again, and rides along on the power steps of the
+others while it lies between open members, so every estimate equals a
+solve of that operator alone, bit for bit.
 
 The start is uniform, or seeded-random for a seed.  A problem given as a
 hypergraph with Randić weights starts, unseeded, at ``k_unit(d^{1/k})``:
@@ -239,8 +240,9 @@ class _Stack:
     count, n), edges, weights, kernel workspace, each edge's member
     ``owner``, each member's first edge ``cut``, and the Randić members.
     The weights, the connectivity test and the zero test are done once
-    for all members.  A stack has its own kernel workspace, so it
-    belongs to one solve."""
+    for all members.  A stack has its own kernel workspaces, one for all
+    of its edges and one for the ``span`` of edges it now contracts, so
+    it belongs to one solve."""
 
     def __init__(self, problems):
         self.graphs = [G for G, _ in problems]
@@ -257,6 +259,7 @@ class _Stack:
         first = [*self.starts[bounds[:-1]].tolist(), int(ends[-1])]
         self.runs = [(first[r], first[r + 1], bounds[r + 1] - bounds[r], int(sizes[bounds[r]])) for r in range(len(bounds) - 1)]
         self.weights, self.work = np.empty(len(self.edges)), _kernels.Workspace(self.edges)
+        self.span, self._rows = (self.edges, self.weights, self.work), (0, len(self.edges))
         self._chunks = None
         degrees = np.bincount(self.edges.ravel(), minlength=int(ends[-1]))
         self.max_degree = np.maximum.reduceat(degrees, self.starts).tolist()
@@ -336,13 +339,26 @@ class _Stack:
             self._chunks = chunks, side[self.owner][:, None], base[self.owner][:, None]
         return self._chunks
 
-    def evaluate(self, X, s):
+    def narrow(self, live):
+        """Contract from now on only the edges from the first member of
+        ``live`` to the last, none when it is empty, through a workspace
+        of that slice, made when the span changes; members outside it
+        then take ``T x^{k-1}`` as 0."""
+        at = live.nonzero()[0]
+        rows = (self.cut[at[0]], self.cut[at[-1] + 1]) if len(at) else (0, 0)
+        if rows != self._rows:
+            E = self.edges[rows[0] : rows[1]]
+            self.span, self._rows = (E, self.weights[rows[0] : rows[1]], _kernels.Workspace(E)), rows
+
+    def evaluate(self, X, s, whole=False):
         """``x^{[k-1]}`` and the shifted image ``T x^{k-1} + s x^{[k-1]}``
-        of each member's vector x in X; the contraction adds into
-        ``s x^{[k-1]}``, which rounds as adding that to it does."""
+        of each member's vector x in X, over the ``span`` of edges or
+        the ``whole`` stack; the contraction adds into ``s x^{[k-1]}``,
+        which rounds as adding that to it does."""
         XK1 = X ** (self.k - 1)
         Y = s * XK1
-        _kernels.contract(self.edges, self.weights, X, Y, work=self.work)
+        E, W, work = (self.edges, self.weights, self.work) if whole else self.span
+        _kernels.contract(E, W, X, Y, work=work)
         return XK1, Y
 
 
@@ -354,10 +370,13 @@ def _solve(stack, opts) -> list:
     rows ``starts[b] : starts[b] + sizes[b]`` for the whole solve, and
     entry b of each per-member array is its state.  A member whose
     bracket closes, or whose weights are all zero, is done: its estimate
-    is recorded, and it is never watched or given a Newton step again,
-    but it rides along on the power steps that open members take.  Each
-    step contracts the whole stack in one kernel call and keeps the rows
-    of the members that take it; the residuals take one more at the end.
+    is recorded, and it is never watched or given a Newton step again.
+    Each step contracts, in one kernel call, the span of edges from the
+    first open member to the last (``_Stack.narrow``) and keeps the rows
+    of the members that take it: done members inside the span ride along
+    on the power steps of the others, and those outside it are no longer
+    contracted.  The residuals take one call over the whole stack at the
+    end.
     """
     k, s = stack.k, opts.shift
     out: list = [None] * len(stack.graphs)
@@ -365,6 +384,7 @@ def _solve(stack, opts) -> list:
     live = stack.weighted()  # the open members
     for b in (~live).nonzero()[0].tolist():
         out[b] = 0.0, X[stack.starts[b] : stack.starts[b] + stack.sizes[b]].copy(), 0.0, 0.0, 0, 0
+    stack.narrow(live)
     XK1, Y = stack.evaluate(X, s)
     lo, up = np.full(len(out), -math.inf), np.full(len(out), math.inf)
     newton, steps = np.zeros(len(out), dtype=bool), np.zeros(len(out), dtype=int)
@@ -382,6 +402,7 @@ def _solve(stack, opts) -> list:
             live, newton, watching = live & ~closed, newton & ~closed, watching & ~closed
             if not _ANY(live):
                 break
+            stack.narrow(live)
         if _ANY(watching):  # a watched member has read its spread at every step
             marks.append((hi - low).tolist())
             if len(marks) > _WINDOW:
@@ -419,7 +440,7 @@ def _solve(stack, opts) -> list:
         for b in done:
             rho[b] = out[b][0]
             X[stack.starts[b] : stack.starts[b] + stack.sizes[b]] = out[b][1]
-        XK1, TX = stack.evaluate(X, 0.0)  # T x^{k-1} added to 0 x^{[k-1]}, which is 0
+        XK1, TX = stack.evaluate(X, 0.0, whole=True)  # T x^{k-1} added to 0 x^{[k-1]}, which is 0
         res = _MAXAT(np.abs(TX - stack.rep(rho) * XK1), stack.starts).tolist()
         for b in done:
             rho, x, lower, upper, iters, newton_steps = out[b]
@@ -580,9 +601,9 @@ def _newton_step(stack, mask, X, XK1, Y, R, hi, s):
 
     Each chunk of members of one n (``_Stack.chunks``) that holds a
     member of ``mask`` is built as one array, and its members in
-    ``mask`` are factored as one.  Every trial contracts the whole
-    stack, each member outside ``mask`` or no longer trying at its own
-    x, and keeps the rows of the members trying.
+    ``mask`` are factored as one.  Every trial contracts the stack's
+    span (``_Stack.narrow``), each member outside ``mask`` or no longer
+    trying at its own x, and keeps the rows of the members trying.
     """
     gap = (stack.rep(hi) - R) * XK1  # lam x^{[k-1]} - T x^{k-1} >= 0
     DX, ok, taking = np.zeros(len(X)), mask.copy(), mask.tolist()

@@ -51,12 +51,16 @@ def relabel(G: UniformHypergraph, perm: list[int]) -> UniformHypergraph:
 
 def connected_by_search(G: UniformHypergraph) -> bool:
     """Depth-first search over vertices and their edges."""
+    incident: list[list[tuple[int, ...]]] = [[] for _ in range(G.n)]
+    for e in G.edges:
+        for v in e:
+            incident[v].append(e)
     seen = {0}
     stack = [0]
     while stack:
         v = stack.pop()
-        for ei in G.vertex_edges[v]:
-            for w in G.edges[ei]:
+        for e in incident[v]:
+            for w in e:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

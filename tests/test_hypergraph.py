@@ -1,5 +1,7 @@
 """Representation, validation, classification, canonical codes, UHG I/O."""
 
+import functools
+import hashlib
 import itertools
 import random
 import warnings
@@ -289,6 +291,48 @@ def test_vertex_orbits_match_the_automorphisms():
     graphs.append(build(2, 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (2, 6)]))
     for G in graphs:
         assert vertex_orbits(G) == orbits_by_permutations(G), G
+
+
+@functools.lru_cache(maxsize=1)
+def _pinned_graphs() -> tuple:
+    """Every class ``hypertree_classes`` grows up to ``ENUM_BUDGET``, every
+    ``unicyclic_classes(m, k)`` for k = 3, m <= 7 and k = 4, m <= 5, and
+    200 seeded random hypertrees, each in the order found."""
+    graphs = [G for k, top in gen.ENUM_BUDGET.items() for level in gen.hypertree_classes(top, k) for G in level.values()]
+    graphs += [G for k, top in ((3, 7), (4, 5)) for m in range(2, top + 1) for G in gen.unicyclic_classes(m, k).values()]
+    graphs += [gen.random_hypertree(40, 3, seed) for seed in range(200)]
+    return tuple(graphs)
+
+
+def test_codes_and_orbits_keep_their_bytes():
+    # One digest over the code and the orbits of 900 graphs: the other
+    # tests check counts and invariance, this one that no byte moves.
+    digest = hashlib.sha256()
+    for G in _pinned_graphs():
+        digest.update(canonical_code(G))
+        digest.update(np.array(vertex_orbits(G), dtype=">u4").tobytes())
+    assert digest.hexdigest() == "a6c3a519cd8a2f40b599d33c8dda830c8043030d5dfdb51fc8e15e46fd040fc9"
+
+
+def test_peel_walks_the_one_cycle_of_a_unicyclic_graph():
+    for G in _pinned_graphs():
+        _, _, core, ring = hypergraph.peel(G)
+        rep = classify(G)
+        if rep.kind == "hypertree":
+            assert core == ring == []
+            continue
+        assert rep.kind == "unicyclic" and sorted(ring) == core and len(ring) == 2 * rep.girth
+        # From core[0] to its least edge in the core, then vertex and edge
+        # nodes alternate, each next to the one before.
+        assert ring[1] == min(e for e in core[1:] if e >= G.n and core[0] in G.edges[e - G.n])
+        for v, e in zip(ring[::2], ring[1::2]):
+            assert v < G.n <= e and v in G.edges[e - G.n]
+        for e, v in zip(ring[1::2], ring[2::2] + ring[:1]):
+            assert v in G.edges[e - G.n]
+    # Two disjoint copies of C_{3,3}: the walk goes round one of them.
+    C = gen.hypercycle(3, 3)
+    _, _, core, ring = hypergraph.peel(build(3, 12, list(C.edges) + [[v + 6 for v in e] for e in C.edges]))
+    assert len(core) == 12 and len(ring) == 6 and set(ring) < set(core)
 
 
 @st.composite
