@@ -1,10 +1,12 @@
 """Closed-form spectral radii for the extremal families.
 
 Each value is either an explicit radical or the largest real root of a
-low-degree polynomial with a known bracket, extracted by bisection to a
-relative width of 1e-12.  Either way the value is a bare float with no
-error bound; callers compare it with a tolerance.  Coefficients are
-rational expressions in the edge count m, evaluated on demand.
+low-degree polynomial.  A root is the largest real eigenvalue of the
+polynomial's companion matrix, refined by bisection to adjacent floats,
+so it is accurate to float resolution for the float coefficients.  Either
+way the value is a bare float with no error bound; callers compare it
+with a tolerance.  Coefficients are rational expressions in the edge
+count m, rounded to floats on demand.
 
 ``CLOSED_FORMS`` pairs each value with the hypergraph that attains it,
 the weighting and the parameter domain; every caller reads it.
@@ -19,19 +21,21 @@ from dataclasses import dataclass, field
 from types import CodeType
 from typing import Callable, Mapping, Optional
 
+import numpy as np
+
 from . import generators as gen
 from .hypergraph import UniformHypergraph
+from .spectral import _is_int
 from .tensor import Weighting
 
 
 @dataclass(frozen=True)
 class PolynomialSpec:
     """Real polynomial (ascending coefficients) whose largest real root is
-    wanted; ``bracket`` is an interval known to contain it."""
+    wanted."""
 
     name: str
     coeffs: tuple[float, ...]
-    bracket: tuple[float, float]
 
     def __call__(self, t: float) -> float:
         acc = 0.0
@@ -41,60 +45,33 @@ class PolynomialSpec:
 
 
 class RootBracketError(ValueError):
-    """No sign change found for the largest real root."""
+    """p has no real root, or no sign change at its largest one."""
 
 
 def largest_real_root(p: PolynomialSpec) -> float:
-    """Largest real root of p by bisection, to a relative width of 1e-12.
+    """Largest real root of p, to adjacent floats.
 
-    The upper end is pushed out until p > 0 there (positive leading
-    coefficient); then probes descending from the top on a refining grid
-    find the highest point with p <= 0, which brackets the final root.
+    The roots are the eigenvalues of p's companion matrix (``np.roots``);
+    the largest real one is refined by bisecting the sign change of p
+    within 1e-9 relative of it until the ends are adjacent floats, and
+    the end where |p| is smaller is returned.
     """
-    lo, hi = p.bracket
-    if not lo < hi:
-        raise RootBracketError(f"{p.name}: empty bracket {p.bracket}")
-    expand = 0
-    while p(hi) <= 0.0:
-        hi += max(1.0, abs(hi))
-        expand += 1
-        if expand > 200:
-            raise RootBracketError(f"{p.name}: no positive value above bracket")
-
-    neg = None
-    if p(lo) <= 0.0:
-        neg = lo
-    for level in range(1, 17):
-        steps = 2**level
-        found = None
-        for j in range(1, steps):
-            t = hi - (hi - lo) * j / steps
-            if p(t) <= 0.0:
-                found = t
-                break
-        if found is not None:
-            if neg is None or found > neg:
-                neg = found
-            # One finer sweep above the hit guards against skipping a
-            # higher sign change on a coarse grid.
-            finer = 2 ** (level + 2)
-            for j in range(1, finer):
-                t = hi - (hi - found) * j / finer
-                if p(t) <= 0.0 and t > neg:
-                    neg = t
-                    break
-            break
-    if neg is None:
-        raise RootBracketError(f"{p.name}: no sign change found in {p.bracket}")
-
-    a, b = neg, hi
-    while b - a > 1e-12 * max(1.0, abs(b)):
-        mid = 0.5 * (a + b)
-        if p(mid) <= 0.0:
-            a = mid
+    roots = np.roots(p.coeffs[::-1])
+    real = [z.real for z in roots if abs(z.imag) <= 1e-7 * max(1.0, abs(z))]
+    if not real:
+        raise RootBracketError(f"{p.name}: no real root")
+    r = float(max(real))
+    d = 1e-9 * max(1.0, abs(r))
+    lo, hi = r - d, r + d
+    hi_positive = p(hi) > 0.0
+    if (p(lo) > 0.0) == hi_positive:
+        raise RootBracketError(f"{p.name}: no sign change at {r!r}")
+    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+        if (p(mid) > 0.0) == hi_positive:
+            hi = mid
         else:
-            b = mid
-    return 0.5 * (a + b)
+            lo = mid
+    return lo if abs(p(lo)) <= abs(p(hi)) else hi
 
 
 # ----------------------------------------------------------------------
@@ -112,17 +89,12 @@ def eta_poly(m: int) -> PolynomialSpec:
             -(4 * m * m - 19 * m + 27) / d,
             1.0,
         ),
-        bracket=(0.0, float(m - 1)),
     )
 
 
 def linear_unicyclic_poly(m: int) -> PolynomialSpec:
     """Cubic whose largest root a_m is rho_abc(U_{m,3}) for the 2-uniform
-    base (m >= 3); a_m <= sqrt(m-1), with equality at m = 3.
-
-    a_m also exceeds sqrt(m-2) for m in {3,4,5} but drops below it from
-    m = 6 on, so only the upper end is used for bracketing.
-    """
+    base (m >= 3); a_m <= sqrt(m-1), with equality at m = 3."""
     r2 = math.sqrt(2.0)
     return PolynomialSpec(
         name=f"linear_unicyclic[m={m}]",
@@ -132,7 +104,6 @@ def linear_unicyclic_poly(m: int) -> PolynomialSpec:
             -r2 / 2.0,
             1.0,
         ),
-        bracket=(0.0, math.sqrt(m - 1)),
     )
 
 
@@ -176,7 +147,6 @@ def t_poly(m: int, idx: int) -> PolynomialSpec:
     return PolynomialSpec(
         name=f"t{idx}[m={m}]",
         coeffs=coeffs,
-        bracket=(max(0.5, m - 6.0), max(3.0, m - 4.0)),
     )
 
 
@@ -192,7 +162,6 @@ def quartic_s4_poly(m: int) -> PolynomialSpec:
             -(8 * m * m - 51 * m + 91) / d,
             1.0,
         ),
-        bracket=(max(0.5, m - 6.0), max(2.0, m - 4.0)),
     )
 
 
@@ -338,13 +307,17 @@ CLOSED_FORMS: dict[str, ClosedForm] = {
 
 def _bind(name: str, params: Mapping[str, Optional[int]]) -> tuple[ClosedForm, dict[str, int]]:
     """The record for ``name`` and its parameters, defaults filled in;
-    ValueError when the name is unknown or a parameter is missing or out
-    of the domain.  Parameters the form does not take are ignored."""
+    ValueError when the name is unknown or a parameter is missing, not an
+    integer (a bool is not one) or out of the domain.  Parameters the form
+    does not take are ignored."""
     if name not in CLOSED_FORMS:
         raise ValueError(f"unknown closed form {name!r}; known: {sorted(CLOSED_FORMS)}")
     form = CLOSED_FORMS[name]
     signature = form.signature
     given = {p: params[p] for p in signature.parameters if params.get(p) is not None}
+    for p, value in given.items():
+        if not _is_int(value):
+            raise ValueError(f"{p} must be an integer, not {value!r}")
     try:
         bound = signature.bind(**given)
     except TypeError:

@@ -302,6 +302,9 @@ def random_hypertree(m: int, k: int, seed: int) -> UniformHypergraph:
     """Seeded random hypertree built by uniform pendant-edge attachment:
     each new edge joins a uniformly drawn existing vertex to k-1 fresh
     ones.  The anchors are drawn first and the edges built once."""
+    if m < 1 or k < 2:
+        raise ValueError(f"random_hypertree needs m >= 1 and k >= 2, got m={m}, k={k}")
+    check_vertex_count(m * (k - 1) + 1)
     rng = random.Random(seed)
     anchors = [rng.randrange(k + i * (k - 1)) for i in range(m - 1)]
     return _with_pendants(k, k, [tuple(range(k))], anchors)
@@ -310,8 +313,12 @@ def random_hypertree(m: int, k: int, seed: int) -> UniformHypergraph:
 def random_connected_hypergraph(m: int, k: int, seed: int) -> UniformHypergraph:
     """Seeded random connected k-uniform hypergraph with m edges: a random
     hypertree plus extra random edges over the existing vertex set."""
+    if m < 1 or k < 2:
+        raise ValueError(f"random_connected_hypergraph needs m >= 1 and k >= 2, got m={m}, k={k}")
+    least = max(1, m - 3)  # the fewest edges its hypertree may have
+    check_vertex_count(least * (k - 1) + 1)
     rng = random.Random(seed)
-    t = rng.randint(max(1, m - 3), m)
+    t = rng.randint(least, m)
     G = random_hypertree(t, k, rng.randrange(2**30))
     existing = set(G.edges)
     edges = list(G.edges)

@@ -1,4 +1,4 @@
-"""Closed forms: root extraction, known factorizations, bracket claims,
+"""Closed forms: root extraction, known factorizations, root bounds,
 orderings, and agreement with the solver."""
 
 import math
@@ -20,20 +20,40 @@ def oracle(G, w=ABC):
 
 
 def test_largest_real_root_simple():
-    p = cf.PolynomialSpec(name="t2-1", coeffs=(-1.0, 0.0, 1.0), bracket=(0.0, 2.0))
+    p = cf.PolynomialSpec(name="t2-1", coeffs=(-1.0, 0.0, 1.0))
     assert cf.largest_real_root(p) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_largest_real_root_takes_largest():
-    # (t-1)(t-2)(t-3): all three roots inside the bracket.
-    p = cf.PolynomialSpec(name="3roots", coeffs=(-6.0, 11.0, -6.0, 1.0), bracket=(0.0, 5.0))
+    # (t-1)(t-2)(t-3): three real roots.
+    p = cf.PolynomialSpec(name="3roots", coeffs=(-6.0, 11.0, -6.0, 1.0))
     assert cf.largest_real_root(p) == pytest.approx(3.0, abs=1e-11)
 
 
 def test_largest_real_root_expands_past_root_at_hi():
-    # Root exactly at the stated hi endpoint.
-    p = cf.PolynomialSpec(name="athi", coeffs=(-4.0, 0.0, 1.0), bracket=(0.0, 2.0))
+    # t^2 - 4, whose largest root 2 is a float.
+    p = cf.PolynomialSpec(name="athi", coeffs=(-4.0, 0.0, 1.0))
     assert cf.largest_real_root(p) == pytest.approx(2.0, abs=1e-11)
+
+
+def test_largest_real_root_separates_a_close_pair():
+    # (t-1)(t-3)(t-3.0001) and (t-0.5)(t-2)(t-2.001): the largest root
+    # lies 1e-4 and 1e-3 above the next one.
+    p = cf.PolynomialSpec(name="pair3", coeffs=(-9.0003, 15.0004, -7.0001, 1.0))
+    assert cf.largest_real_root(p) == pytest.approx(3.0001, rel=1e-9)
+    p = cf.PolynomialSpec(name="pair2", coeffs=(-2.001, 6.0025, -4.501, 1.0))
+    assert cf.largest_real_root(p) == pytest.approx(2.001, rel=1e-9)
+
+
+def test_largest_real_root_without_a_real_root_raises():
+    with pytest.raises(cf.RootBracketError, match="no real root"):
+        cf.largest_real_root(cf.PolynomialSpec(name="t2+1", coeffs=(1.0, 0.0, 1.0)))
+
+
+def test_root_forms_are_finite_where_m_minus_6_and_m_minus_4_round_together():
+    # At m = 10^17 the floats m-6 and m-4 are equal.
+    assert math.isfinite(cf.closed_form("t-family", m=10**17, idx=1))
+    assert math.isfinite(cf.closed_form("s4-1111", m=10**17, k=4))
 
 
 def test_linear_unicyclic_cubic_at_m3_factors():
@@ -117,7 +137,7 @@ def test_rho_abc_u2_values():
 
 
 def test_rho_abc_u3_m3():
-    assert cf.rho_abc_u3(3, 3) == pytest.approx(2 ** (1 / 3), abs=1e-9)
+    assert cf.rho_abc_u3(3, 3) == pytest.approx(2 ** (1 / 3), rel=1e-15, abs=0)
 
 
 def test_rho_abc_hyperpath_values():
@@ -186,18 +206,7 @@ def test_largest_real_roots_match_50_digit_roots():
                                          maxsteps=200, extraprec=200)
                 want = max(r.real for r in roots if abs(r.imag) <= 1e-30 * max(1, abs(r)))
                 got = cf.largest_real_root(p)
-                assert abs(got - want) <= 1e-12 * max(1, abs(want)), p.name
-
-
-def test_each_named_bracket_contains_its_largest_root():
-    # The largest real root of the float coefficients, by numpy's
-    # companion-matrix eigenvalues, for every m of the domain up to 200.
-    for poly, first_m in NAMED_POLYNOMIALS:
-        for m in range(first_m, 201):
-            p = poly(m)
-            roots = np.roots(p.coeffs[::-1])
-            root = max(r.real for r in roots if abs(r.imag) <= 1e-9 * max(1.0, abs(r)))
-            assert p.bracket[0] <= root <= p.bracket[1], (p.name, root, p.bracket)
+                assert abs(got - want) <= 4e-16 * max(1, abs(want)), p.name
 
 
 # ---- strict orderings ----
@@ -229,3 +238,11 @@ def test_closed_form_dispatch():
         cf.closed_form("hyperstar", m=5)
     with pytest.raises(ValueError):
         cf.closed_form("nope", m=1, k=2)
+
+
+@pytest.mark.parametrize("m", [True, 2.5, "5"])
+def test_closed_form_parameters_are_integers(m):
+    for part in (cf.closed_form, cf.closed_form_graph):
+        with pytest.raises(ValueError, match=f"m must be an integer, not {m!r}"):
+            part("hyperstar", m=m, k=3)
+    assert cf.closed_form("hyperstar", m=np.int64(5), k=3) == cf.rho_abc_hyperstar(5, 3)

@@ -294,6 +294,19 @@ def test_random_hypertree_matches_the_attach_loop():
             assert G.n == ref.n and np.array_equal(G.edge_array, ref.edge_array)
 
 
+def test_random_generators_check_their_size_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the size")
+
+    monkeypatch.setattr(random.Random, "randrange", no_draw)
+    for make in (gen.random_hypertree, gen.random_connected_hypergraph):
+        for m, k in ((0, 3), (-2, 3), (3, 0)):
+            with pytest.raises(ValueError, match=f"m={m}, k={k}"):
+                make(m, k, 1)
+        with pytest.raises(InvalidHypergraphError, match="exceeds the cap"):
+            make(6_000_000, 3, 1)
+
+
 def _attach_loop(G, anchors):
     for v in anchors:
         G = gen.attach_pendant_edge(G, v)
